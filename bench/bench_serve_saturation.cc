@@ -95,6 +95,12 @@ constexpr double kSloSlowWindowS = 1.0;
 constexpr double kSloSlowConfirmWindowS = 2.0;
 constexpr double kSloClearHoldS = 30.0;
 
+// The overdriven breach replays run this many times denser, with as many
+// times the moves so they last as long. At `kCompression` one worker
+// catches up between drags and LCV settles near 0.6, under the 0.72 a
+// page needs (burn 14.4 at the 5% budget); denser, it stays near 0.95.
+constexpr int kBreachDensity = 4;
+
 void ApplyBenchSloOptions(ServerOptions* sopts) {
   sopts->enable_slo = true;
   sopts->slo_lcv_target = kSloLcvTarget;
@@ -114,8 +120,6 @@ struct BenchConfig {
   /// Kernel ISA for every engine the sweeps build ("auto" resolves via
   /// the one-time CPUID probe; "scalar" pins the reference kernels).
   KernelIsa kernels = KernelIsa::kAuto;
-  /// Morsel-driven execution for the sharded sweep points.
-  bool morsels = false;
   bool net = false;
   bool smoke = false;
   /// Serve-until-scraped mode for the HTTP observability endpoint (the
@@ -180,7 +184,6 @@ RunResult MustRun(const BenchConfig& cfg, const TablePtr& road, int workers,
     ShardedEngineOptions shopts;
     shopts.num_shards = shards;
     shopts.engine_options = eopts;
-    shopts.morsel_execution = cfg.morsels;
     auto made = ShardedEngine::Create(shopts);
     if (!made.ok() || !(*made)->PartitionTable(road).ok()) std::abort();
     sharded = std::move(*made);
@@ -801,8 +804,10 @@ void RunJsonExport(const BenchConfig& cfg, const TablePtr& road,
   const int workers = 2;
   // Off/on/slo triples; medians reported. 11 reps in full mode: single
   // runs are ~0.2 s of measured work on a noisy shared host, so the
-  // paired-delta median needs a real sample count to converge.
-  const int reps = cfg.smoke ? 1 : 11;
+  // paired-delta median needs a real sample count to converge. Smoke runs
+  // take 3, so one rep disturbed by a parallel ctest schedule cannot
+  // decide the paired median alone.
+  const int reps = cfg.smoke ? 3 : 11;
   const double poll_ms = 50.0;  // Compressed time: ~dozens of samples.
   std::printf(
       "json export: %d workers, %d clients, fifo, shared cache %s — "
@@ -1085,7 +1090,7 @@ void RunJsonExport(const BenchConfig& cfg, const TablePtr& road,
     // A longer, wider replay than the overhead pairs (more crossfilter
     // moves, full client count even in smoke): the saturated episode
     // must outlast the confirm window and violate most LCV budgets.
-    const int breach_moves = cfg.smoke ? 30 : 40;
+    const int breach_moves = kBreachDensity * (cfg.smoke ? 30 : 40);
     const int breach_clients = 12;
     std::vector<std::vector<QueryGroup>> sessions;
     sessions.reserve(static_cast<size_t>(breach_clients));
@@ -1112,11 +1117,14 @@ void RunJsonExport(const BenchConfig& cfg, const TablePtr& road,
       }
     });
     LoadDriverOptions lopts;
-    lopts.time_compression = kCompression;
+    lopts.time_compression = kBreachDensity * kCompression;
     auto report = RunLoadDriver(server->get(), sessions, lopts);
     stop_watch.store(true, std::memory_order_relaxed);
     watcher.join();
     if (!report.ok()) std::abort();
+    // Stopping joins the poller, so a bundle it is still capturing is in
+    // before the counts below are read.
+    (*server)->Stop();
     time_to_critical_s = paged_after_s.load(std::memory_order_relaxed);
     slo_run_lcv = report->snapshot.lcv_fraction;
     const SloEngine* slo = (*server)->slo_engine();
@@ -1139,7 +1147,6 @@ void RunJsonExport(const BenchConfig& cfg, const TablePtr& road,
         std::abort();
       }
     }
-    (*server)->Stop();
   }
   std::printf(
       "  slo breach: %lld critical transition(s), %lld bundle(s), "
@@ -1164,7 +1171,6 @@ void RunJsonExport(const BenchConfig& cfg, const TablePtr& road,
   w.Key("zone_maps").Bool(cfg.zone_maps);
   w.Key("kernels").String(KernelIsaToString(cfg.kernels));
   w.Key("kernel_isa").String(KernelIsaToString(GetKernelOps(cfg.kernels).isa));
-  w.Key("morsels").Bool(cfg.morsels);
   const CpuFeatures cpu = ProbeCpu();
   w.Key("cpu_sse42").Bool(cpu.sse42);
   w.Key("cpu_avx2").Bool(cpu.avx2);
@@ -1395,17 +1401,19 @@ void RunHttpServe(const BenchConfig& cfg, const TablePtr& road) {
               "(net front-end on %d), replaying %d clients...\n",
               (*http)->port(), (*net)->port(), clients);
 
+  // SLO mode replays as densely as the export's breach run.
+  const int density = cfg.slo ? kBreachDensity : 1;
   std::vector<std::vector<QueryGroup>> sessions;
   sessions.reserve(static_cast<size_t>(clients));
   for (int c = 0; c < clients; ++c) {
     sessions.push_back(bench::CrossfilterGroups(
         road, DeviceType::kMouse,
         bench::kCrossfilterSeed + 300 + static_cast<uint64_t>(c),
-        cfg.moves()));
+        density * cfg.moves()));
   }
   NetLoadDriverOptions nlopts;
   nlopts.port = (*net)->port();
-  nlopts.time_compression = kCompression;
+  nlopts.time_compression = density * kCompression;
   nlopts.trace_buffer = (*server)->trace_buffer();
   auto report = RunNetLoadDriver(sessions, nlopts);
   if (!report.ok()) {
@@ -1423,9 +1431,13 @@ void RunHttpServe(const BenchConfig& cfg, const TablePtr& road) {
               static_cast<long long>(snap.totals.queries_executed));
   if (cfg.slo) {
     // Drained state: no further executed deltas, so breach and bundle
-    // counts are final here (the clear hold pins the critical state).
-    // Evaluations keep ticking while the process stays scrapeable, so
-    // a later /slo fetch must show at least this many.
+    // counts are final once the poller has published the page, which it
+    // does after capturing the bundle (the clear hold pins the critical
+    // state). Evaluations keep ticking while the process stays
+    // scrapeable, so a later /slo fetch must show at least this many.
+    for (int i = 0; i < 2000 && !(*server)->slo_critical(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     const SloEngine* slo = (*server)->slo_engine();
     int64_t breaches = 0;
     for (const SloStatus& st : slo->Status()) {
@@ -1529,7 +1541,6 @@ int main(int argc, char** argv) {
     }
     cfg.kernels = *isa;
   }
-  cfg.morsels = ideval::bench::BoolFlag(argc, argv, "morsels");
   cfg.net = ideval::bench::BoolFlag(argc, argv, "net");
   cfg.progressive = ideval::bench::BoolFlag(argc, argv, "progressive");
   cfg.smoke = ideval::bench::BoolFlag(argc, argv, "smoke");

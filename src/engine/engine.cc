@@ -89,15 +89,18 @@ void Engine::FinalizeTimes(QueryResponse* response) const {
 }
 
 Result<QueryResponse> Engine::Execute(const Query& query) const {
-  Result<QueryResponse> r = [&] {
-    if (const auto* s = std::get_if<SelectQuery>(&query)) {
-      return ExecuteSelect(*s);
-    }
-    if (const auto* h = std::get_if<HistogramQuery>(&query)) {
-      return ExecuteHistogram(*h);
-    }
-    return ExecuteJoinPage(std::get<JoinPageQuery>(query));
-  }();
+  if (const auto* h = std::get_if<HistogramQuery>(&query)) {
+    // One participant runs the whole scan; the merge records pruning.
+    IDEVAL_ASSIGN_OR_RETURN(std::unique_ptr<HistogramScan> scan,
+                            PrepareHistogram(*h));
+    std::vector<HistogramPartial> partials(1);
+    RunHistogramMorsels(*scan, &partials[0]);
+    return MergeHistogram(*scan, partials);
+  }
+  Result<QueryResponse> r =
+      std::holds_alternative<SelectQuery>(query)
+          ? ExecuteSelect(std::get<SelectQuery>(query))
+          : ExecuteJoinPage(std::get<JoinPageQuery>(query));
   if (r.ok()) RecordPruning(r->stats);
   return r;
 }
@@ -221,7 +224,7 @@ Result<QueryResponse> Engine::ExecuteSelect(const SelectQuery& query) const {
   return response;
 }
 
-Result<QueryResponse> Engine::ExecuteHistogram(
+Result<std::unique_ptr<HistogramScan>> Engine::PrepareHistogram(
     const HistogramQuery& query) const {
   IDEVAL_ASSIGN_OR_RETURN(TablePtr table, GetTable(query.table));
   IDEVAL_ASSIGN_OR_RETURN(
@@ -238,159 +241,107 @@ Result<QueryResponse> Engine::ExecuteHistogram(
   }
   // Validate the bin range up front (lo < hi etc.) so bad queries fail
   // before any scan; the real histogram is built from the kernel counts
-  // at the end via FromCounts, which is bitwise-equal to per-row Add.
+  // at the merge via FromCounts, which is bitwise-equal to per-row Add.
   {
     Result<FixedHistogram> probe = FixedHistogram::Make(
         query.bin_lo, query.bin_hi, static_cast<size_t>(query.bins));
     if (!probe.ok()) return probe.status();
   }
-
-  QueryResponse response;
-  QueryWorkStats& stats = response.stats;
-  const int64_t n = static_cast<int64_t>(table->num_rows());
-  const bool is_int = bin_col->type() == DataType::kInt64;
-  // Hot loop: borrow raw column storage once (immutable table), then run
-  // the SIMD scan kernels block by block — predicate masks and masked
-  // binning via `HistScanRange` into exact int64 counts. Zone maps skip
-  // whole blocks whose min/max range is disjoint from a range conjunct —
-  // those rows cannot match, so the histogram is bitwise identical to
-  // the full scan; only the work (and modelled time) drops.
-  const int64_t* int_vals = is_int ? bin_col->int64_data().data() : nullptr;
-  const double* dbl_vals = is_int ? nullptr : bin_col->double_data().data();
-  const TableZoneMaps* zm = ZoneMapsFor(query.table);
-  const bool prune =
-      zm != nullptr && preds.has_range_predicates() && zm->num_blocks > 0;
-  const int64_t block_rows = prune ? zm->block_rows : n;
-  std::vector<int64_t> counts(static_cast<size_t>(query.bins), 0);
-  int64_t matched = 0;
-  int64_t scanned = 0;
-  int64_t run_begin = -1;
-  auto flush_run = [&](int64_t run_end) {
-    if (run_begin >= 0) {
-      ChargePages(*table, run_begin, run_end - run_begin, &stats);
-    }
-    run_begin = -1;
-  };
-  for (int64_t begin = 0; begin < n; begin += block_rows) {
-    const int64_t end = std::min(n, begin + block_rows);
-    if (prune &&
-        !preds.MayMatchBlock(*zm, static_cast<size_t>(begin / block_rows))) {
-      ++stats.blocks_pruned;
-      flush_run(begin);
-      continue;
-    }
-    if (prune) ++stats.blocks_scanned;
-    if (run_begin < 0) run_begin = begin;
-    matched += HistScanRange(*kops_, preds, int_vals, dbl_vals,
-                             query.bin_lo, query.bin_hi, query.bins, begin,
-                             end, counts.data());
-    scanned += end - begin;
+  auto scan = std::make_unique<HistogramScan>();
+  // Borrow raw column storage once (the table is immutable).
+  if (bin_col->type() == DataType::kInt64) {
+    scan->int_vals = bin_col->int64_data().data();
+  } else {
+    scan->dbl_vals = bin_col->double_data().data();
   }
-  flush_run(n);
-  std::vector<double> dcounts(counts.begin(), counts.end());
-  IDEVAL_ASSIGN_OR_RETURN(
-      FixedHistogram hist,
-      FixedHistogram::FromCounts(query.bin_lo, query.bin_hi,
-                                 std::move(dcounts)));
-  stats.tuples_matched = matched;
-  stats.tuples_scanned = scanned;
-  stats.predicates_evaluated =
-      scanned * static_cast<int64_t>(preds.num_predicates());
-  stats.groups_built = static_cast<int64_t>(hist.num_bins());
-  stats.rows_output = static_cast<int64_t>(hist.num_bins());
-  stats.bytes_output = static_cast<double>(hist.num_bins()) * 16.0;
-  response.data = std::move(hist);
-  FinalizeTimes(&response);
-  return response;
+  const TableZoneMaps* zm = ZoneMapsFor(query.table);
+  if (preds.has_range_predicates() && zm != nullptr && zm->num_blocks > 0) {
+    scan->zone_maps = zm;
+  }
+  scan->bin_lo = query.bin_lo;
+  scan->bin_hi = query.bin_hi;
+  scan->bins = query.bins;
+  const int64_t n = static_cast<int64_t>(table->num_rows());
+  const int64_t morsel_rows =
+      buffer_pool_ != nullptr
+          ? std::max<int64_t>(1, n)
+          : kMorselBlocks * std::max<int64_t>(1, options_.zone_map_block_rows);
+  scan->queue.morsel_rows = morsel_rows;
+  scan->queue.num_morsels = (n + morsel_rows - 1) / morsel_rows;
+  scan->table = std::move(table);
+  scan->preds = std::move(preds);
+  return scan;
 }
 
-Result<QueryResponse> Engine::ExecuteHistogramMorsels(
-    const HistogramQuery& query, MorselQueue* queue) const {
-  if (queue == nullptr || queue->morsel_rows < 1) {
-    return Status::InvalidArgument("morsel queue must have morsel_rows >= 1");
-  }
-  IDEVAL_ASSIGN_OR_RETURN(TablePtr table, GetTable(query.table));
-  IDEVAL_ASSIGN_OR_RETURN(
-      CompiledPredicates preds,
-      CompiledPredicates::Compile(*table, query.predicates));
-  IDEVAL_ASSIGN_OR_RETURN(const Column* bin_col,
-                          table->ColumnByName(query.bin_column));
-  if (bin_col->type() == DataType::kString) {
-    return Status::InvalidArgument("histogram over string column '" +
-                                   query.bin_column + "'");
-  }
-  if (query.bins <= 0) {
-    return Status::InvalidArgument("histogram bins must be > 0");
-  }
-  {
-    Result<FixedHistogram> probe = FixedHistogram::Make(
-        query.bin_lo, query.bin_hi, static_cast<size_t>(query.bins));
-    if (!probe.ok()) return probe.status();
-  }
-
-  QueryResponse response;
-  QueryWorkStats& stats = response.stats;
-  const int64_t n = static_cast<int64_t>(table->num_rows());
-  const bool is_int = bin_col->type() == DataType::kInt64;
-  const int64_t* int_vals = is_int ? bin_col->int64_data().data() : nullptr;
-  const double* dbl_vals = is_int ? nullptr : bin_col->double_data().data();
-  const TableZoneMaps* zm = ZoneMapsFor(query.table);
-  const bool prune =
-      zm != nullptr && preds.has_range_predicates() && zm->num_blocks > 0;
-  std::vector<int64_t> counts(static_cast<size_t>(query.bins), 0);
-  int64_t matched = 0;
-  int64_t scanned = 0;
-
-  // Steal loop: one atomic increment claims the next unscanned morsel;
-  // the loop exits when the shared queue drains. Inside a claimed morsel
-  // the scan is the same pruned block walk as `ExecuteHistogram` —
-  // morsel boundaries land on block boundaries (see the header contract)
-  // so every block is counted by exactly one participant. Page charges
-  // are per morsel, not per cross-morsel run: a disk-profile scan may
-  // charge a page shared by two morsels twice (morsel mode targets the
-  // in-memory profile, where ChargePages is a no-op).
+int64_t Engine::RunHistogramMorsels(const HistogramScan& scan,
+                                    HistogramPartial* partial) const {
+  partial->counts.resize(static_cast<size_t>(scan.bins), 0);
+  QueryWorkStats& stats = partial->stats;
+  const Table& table = *scan.table;
+  const int64_t n = static_cast<int64_t>(table.num_rows());
+  const TableZoneMaps* zm = scan.zone_maps;
+  MorselQueue& queue = scan.queue;
+  int64_t claimed = 0;
+  // Steal loop: claim the next morsel until the queue drains. Inside one,
+  // skip zone-map blocks whose min/max range is disjoint from a range
+  // conjunct (their rows cannot match, so only the work drops) and bin
+  // the rest with the SIMD kernels. Pages are charged per run of visited
+  // blocks inside a morsel; only the disk profile charges pages, and its
+  // scans are one morsel, so its charges are those of a serial walk.
   for (;;) {
-    const int64_t m = queue->next.fetch_add(1, std::memory_order_relaxed);
-    if (m >= queue->num_morsels) break;
-    ++stats.morsels_executed;
-    const int64_t mbegin = m * queue->morsel_rows;
-    const int64_t mend = std::min(n, mbegin + queue->morsel_rows);
-    if (mbegin >= mend) continue;
-    const int64_t block_rows = prune ? zm->block_rows : mend - mbegin;
+    const int64_t m = queue.next.fetch_add(1, std::memory_order_relaxed);
+    if (m >= queue.num_morsels) break;
+    ++claimed;
+    const int64_t mbegin = m * queue.morsel_rows;
+    const int64_t mend = std::min(n, mbegin + queue.morsel_rows);
+    const int64_t block_rows = zm != nullptr ? zm->block_rows : mend - mbegin;
     int64_t run_begin = -1;
     auto flush_run = [&](int64_t run_end) {
       if (run_begin >= 0) {
-        ChargePages(*table, run_begin, run_end - run_begin, &stats);
+        ChargePages(table, run_begin, run_end - run_begin, &stats);
       }
       run_begin = -1;
     };
     for (int64_t begin = mbegin; begin < mend; begin += block_rows) {
       const int64_t end = std::min(mend, begin + block_rows);
-      if (prune && !preds.MayMatchBlock(
-                       *zm, static_cast<size_t>(begin / block_rows))) {
-        ++stats.blocks_pruned;
-        flush_run(begin);
-        continue;
+      if (zm != nullptr) {
+        if (!scan.preds.MayMatchBlock(
+                *zm, static_cast<size_t>(begin / block_rows))) {
+          ++stats.blocks_pruned;
+          flush_run(begin);
+          continue;
+        }
+        ++stats.blocks_scanned;
       }
-      if (prune) ++stats.blocks_scanned;
       if (run_begin < 0) run_begin = begin;
-      matched += HistScanRange(*kops_, preds, int_vals, dbl_vals,
-                               query.bin_lo, query.bin_hi, query.bins,
-                               begin, end, counts.data());
-      scanned += end - begin;
+      stats.tuples_matched += HistScanRange(
+          *kops_, scan.preds, scan.int_vals, scan.dbl_vals, scan.bin_lo,
+          scan.bin_hi, scan.bins, begin, end, partial->counts.data());
+      stats.tuples_scanned += end - begin;
     }
     flush_run(mend);
   }
+  return claimed;
+}
 
+Result<QueryResponse> Engine::MergeHistogram(
+    const HistogramScan& scan,
+    const std::vector<HistogramPartial>& partials) const {
+  std::vector<int64_t> counts(static_cast<size_t>(scan.bins), 0);
+  QueryResponse response;
+  QueryWorkStats& stats = response.stats;
+  for (const HistogramPartial& p : partials) {
+    const size_t bins = std::min(p.counts.size(), counts.size());
+    for (size_t b = 0; b < bins; ++b) counts[b] += p.counts[b];
+    stats += p.stats;
+  }
   std::vector<double> dcounts(counts.begin(), counts.end());
   IDEVAL_ASSIGN_OR_RETURN(
       FixedHistogram hist,
-      FixedHistogram::FromCounts(query.bin_lo, query.bin_hi,
+      FixedHistogram::FromCounts(scan.bin_lo, scan.bin_hi,
                                  std::move(dcounts)));
-  stats.tuples_matched = matched;
-  stats.tuples_scanned = scanned;
   stats.predicates_evaluated =
-      scanned * static_cast<int64_t>(preds.num_predicates());
+      stats.tuples_scanned * static_cast<int64_t>(scan.preds.num_predicates());
   stats.groups_built = static_cast<int64_t>(hist.num_bins());
   stats.rows_output = static_cast<int64_t>(hist.num_bins());
   stats.bytes_output = static_cast<double>(hist.num_bins()) * 16.0;

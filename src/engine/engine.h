@@ -7,12 +7,14 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "common/sim_time.h"
 #include "engine/buffer_pool.h"
 #include "engine/cost_model.h"
 #include "engine/kernels/kernels.h"
+#include "engine/predicate.h"
 #include "engine/progressive.h"
 #include "engine/query.h"
 #include "storage/table.h"
@@ -39,7 +41,7 @@ struct EngineOptions {
   /// Overrides the profile's calibrated cost model when set.
   std::optional<CostModel> cost_model;
   /// Build per-block min/max zone maps at `RegisterTable` and let
-  /// `ExecuteSelect` / `ExecuteHistogram` skip blocks whose summarized
+  /// `ExecuteSelect` / `RunHistogramMorsels` skip blocks whose summarized
   /// range cannot satisfy a range predicate. Results stay bitwise
   /// identical to an unpruned scan; only the work counters (and therefore
   /// the modelled time and page charges) shrink. Off by default so
@@ -55,16 +57,44 @@ struct EngineOptions {
   KernelIsa kernel_isa = KernelIsa::kAuto;
 };
 
-/// Shared work queue for morsel-driven parallel execution: the table is
-/// cut into fixed `morsel_rows` stretches and workers claim the next
-/// morsel with one atomic increment — workers that finish early steal
-/// the work a static range split would have stranded on the slowest
-/// peer. A queue is single-use: once `next` reaches `num_morsels` the
-/// plan holding it has been fully executed and cannot run again.
+/// Shared work queue of morsel-driven execution (Leis et al., SIGMOD
+/// 2014): participants claim the next `morsel_rows` stretch of the table
+/// with one atomic increment, so none idles while another has work left.
+/// Single-use: once `next` reaches `num_morsels`, every morsel is taken.
 struct MorselQueue {
   std::atomic<int64_t> next{0};
   int64_t morsel_rows = 0;
   int64_t num_morsels = 0;
+};
+
+/// Rows per morsel, in zone-map blocks: 8 x 4096 = 32,768 rows at the
+/// default block size, small enough that a 435K-row crossfilter scan
+/// splits into 14 morsels and large enough to amortize the claim.
+inline constexpr int64_t kMorselBlocks = 8;
+
+/// One participant's share of a `HistogramScan`: exact int64 bin counts
+/// and the work counters of the morsels it claimed.
+struct HistogramPartial {
+  std::vector<int64_t> counts;
+  QueryWorkStats stats;
+};
+
+/// A validated histogram query bound to its table, compiled predicates
+/// and morsel queue (`Engine::PrepareHistogram`). Threads run it at once
+/// via `Engine::RunHistogramMorsels`, each into its own partial, and
+/// `Engine::MergeHistogram` sums the partials into `Engine::Execute`'s
+/// response, bitwise and with equal work counters: counts are int64 and
+/// morsels are whole zone-map blocks, so each block has one participant.
+struct HistogramScan {
+  TablePtr table;
+  CompiledPredicates preds;
+  const int64_t* int_vals = nullptr;  ///< Bin column; exactly one is set.
+  const double* dbl_vals = nullptr;
+  const TableZoneMaps* zone_maps = nullptr;  ///< Null: no pruning.
+  double bin_lo = 0.0;
+  double bin_hi = 0.0;
+  int64_t bins = 0;
+  mutable MorselQueue queue;
 };
 
 /// Cumulative zone-map pruning effect across all queries an engine has
@@ -134,19 +164,26 @@ class Engine {
       const HistogramQuery& query,
       const ProgressiveDeadlineOptions& options) const;
 
-  /// Morsel-driven histogram execution: claims morsels from the shared
-  /// `queue` until it drains, scanning only the claimed stretches. The
-  /// partial histograms of all participants sum bitwise to the
-  /// single-engine result (int64 bin counts are order-independent), and
-  /// the work counters partition exactly: summed across participants
-  /// they equal the counters of one full `Execute` — each zone-map block
-  /// is scanned or pruned by exactly one participant as long as
-  /// `queue->morsel_rows` is a multiple of `zone_map_block_rows`
-  /// (`ShardedEngine` rounds it up at construction). Safe for concurrent
-  /// callers sharing one queue; every participant must target the same
-  /// registered table.
-  Result<QueryResponse> ExecuteHistogramMorsels(const HistogramQuery& query,
-                                                MorselQueue* queue) const;
+  /// Validates `query` and binds it into a scan cut into morsels of
+  /// `kMorselBlocks` zone-map blocks; `Execute` runs it as the only
+  /// participant. The disk profile keeps the table as one morsel: its
+  /// page charges model one backend walking the pool in row order.
+  Result<std::unique_ptr<HistogramScan>> PrepareHistogram(
+      const HistogramQuery& query) const;
+
+  /// Claims morsels of `scan` until its queue drains, scanning each into
+  /// `partial` (sized on first use). Returns the number of morsels
+  /// claimed. Safe for concurrent callers, each with its own partial.
+  int64_t RunHistogramMorsels(const HistogramScan& scan,
+                              HistogramPartial* partial) const;
+
+  /// Sums the partials of every participant of `scan`, in any order,
+  /// into the response `Execute` returns for its query: same histogram
+  /// bits, same work counters, modelled times from the merged counters.
+  /// Call once per scan, after every participant has returned.
+  Result<QueryResponse> MergeHistogram(
+      const HistogramScan& scan,
+      const std::vector<HistogramPartial>& partials) const;
 
   EngineProfile profile() const { return options_.profile; }
   const CostModel& cost_model() const { return cost_model_; }
@@ -189,7 +226,6 @@ class Engine {
 
  private:
   Result<QueryResponse> ExecuteSelect(const SelectQuery& query) const;
-  Result<QueryResponse> ExecuteHistogram(const HistogramQuery& query) const;
   Result<QueryResponse> ExecuteJoinPage(const JoinPageQuery& query) const;
 
   /// Charges buffer-pool page accesses for visiting `tuples` consecutive

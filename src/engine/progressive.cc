@@ -240,7 +240,7 @@ Result<ProgressiveHistogramResult> RunDeadlineHistogram(
   if (!out.approximate) {
     // Complete run: the summed kernel counts *are* the exact answer.
     // Integer counts as doubles are exact and order-independent below
-    // 2^53, so this is bitwise-identical to Engine::ExecuteHistogram.
+    // 2^53, so this is bitwise-identical to Engine::Execute.
     std::vector<double> dcounts(counts_total.begin(), counts_total.end());
     IDEVAL_ASSIGN_OR_RETURN(
         out.histogram,

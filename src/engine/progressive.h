@@ -58,7 +58,7 @@ struct ProgressiveDeadlineOptions {
   /// its current estimate. Checked *between* passes, never mid-block, so
   /// a pass always completes; unset means run to completion, in which
   /// case the result is exact and bitwise-identical to
-  /// `Engine::ExecuteHistogram`.
+  /// `Engine::Execute`.
   std::optional<std::chrono::steady_clock::time_point> deadline;
   /// Two-sided confidence level of the per-bin intervals, in (0, 1).
   double confidence = 0.95;

@@ -66,7 +66,6 @@ QueryWorkStats& QueryWorkStats::operator+=(const QueryWorkStats& o) {
   predicates_evaluated += o.predicates_evaluated;
   blocks_scanned += o.blocks_scanned;
   blocks_pruned += o.blocks_pruned;
-  morsels_executed += o.morsels_executed;
   pages_requested += o.pages_requested;
   pages_missed += o.pages_missed;
   groups_built += o.groups_built;

@@ -89,10 +89,6 @@ struct QueryWorkStats {
   /// cost model charges only visited blocks.
   int64_t blocks_scanned = 0;
   int64_t blocks_pruned = 0;
-  /// Morsels this execution claimed from a shared `MorselQueue` (zero
-  /// outside morsel-driven execution; docs/kernels.md). Summed across a
-  /// plan's participants it equals the queue's `num_morsels`.
-  int64_t morsels_executed = 0;
   int64_t pages_requested = 0;  ///< Disk-profile page lookups.
   int64_t pages_missed = 0;     ///< Buffer-pool misses (physical reads).
   int64_t groups_built = 0;     ///< Histogram bins touched.
@@ -102,6 +98,7 @@ struct QueryWorkStats {
   double bytes_output = 0.0;
 
   QueryWorkStats& operator+=(const QueryWorkStats& o);
+  bool operator==(const QueryWorkStats&) const = default;
 };
 
 }  // namespace ideval

@@ -54,17 +54,6 @@ TablePtr SliceTable(const Table& table, int64_t begin, int64_t end) {
 
 ShardedEngine::ShardedEngine(ShardedEngineOptions options)
     : options_(std::move(options)) {
-  if (options_.morsel_execution) {
-    // Round the morsel up to a whole number of zone-map blocks so no
-    // block straddles two morsels — each block is then scanned or pruned
-    // by exactly one queue participant and the summed work counters
-    // match an unsharded scan exactly.
-    const int64_t block = options_.engine_options.enable_zone_maps
-                              ? options_.engine_options.zone_map_block_rows
-                              : 1;
-    morsel_rows_ =
-        (options_.morsel_rows + block - 1) / block * block;
-  }
   shards_.reserve(static_cast<size_t>(options_.num_shards));
   for (int s = 0; s < options_.num_shards; ++s) {
     shards_.push_back(std::make_unique<Engine>(options_.engine_options));
@@ -76,11 +65,6 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Create(
   if (options.num_shards < 1) {
     return Status::InvalidArgument(
         StrFormat("num_shards must be >= 1, got %d", options.num_shards));
-  }
-  if (options.morsel_execution && options.morsel_rows < 1) {
-    return Status::InvalidArgument(
-        StrFormat("morsel_rows must be >= 1, got %lld",
-                  static_cast<long long>(options.morsel_rows)));
   }
   return std::unique_ptr<ShardedEngine>(new ShardedEngine(std::move(options)));
 }
@@ -101,22 +85,10 @@ Status ShardedEngine::PartitionTable(const TablePtr& table) {
   const int64_t k = num_shards();
   TableInfo info;
   info.partitioned = true;
-  info.rows = rows;
   info.bounds.resize(static_cast<size_t>(k) + 1);
   for (int64_t s = 0; s <= k; ++s) {
     // Contiguous near-equal chunks; preserves global row order.
     info.bounds[static_cast<size_t>(s)] = rows * s / k;
-  }
-  if (options_.morsel_execution) {
-    // Morsel mode partitions *work*, not data: every shard sees the one
-    // shared immutable table (no copies) and the plan's morsel queue
-    // decides who scans which stretch.
-    for (int64_t s = 0; s < k; ++s) {
-      IDEVAL_RETURN_NOT_OK(
-          shards_[static_cast<size_t>(s)]->RegisterTable(table));
-    }
-    tables_[table->name()] = std::move(info);
-    return Status::OK();
   }
   for (int64_t s = 0; s < k; ++s) {
     IDEVAL_RETURN_NOT_OK(shards_[static_cast<size_t>(s)]->RegisterTable(
@@ -161,11 +133,10 @@ Result<ShardedEngine::ShardPlan> ShardedEngine::PlanSelect(
     return Status::NotFound("table '" + query.table + "' is not registered");
   }
   ShardPlan plan;
-  if (!info->partitioned || options_.morsel_execution) {
-    // Replicated tables — and every table in morsel mode, where each
-    // shard sees the whole table — run the original query on one shard:
-    // trivially exact, including LIMIT/OFFSET order.
-    plan.subtasks.push_back({NextRoundRobinShard(), Query(query), nullptr});
+  if (!info->partitioned) {
+    // Replicated tables run the original query on one shard: trivially
+    // exact, including LIMIT/OFFSET order.
+    plan.subtasks.push_back({NextRoundRobinShard(), Query(query)});
     return plan;
   }
   // Every shard returns its first offset+limit matches; the merge step
@@ -175,7 +146,7 @@ Result<ShardedEngine::ShardPlan> ShardedEngine::PlanSelect(
   const int64_t offset = std::max<int64_t>(0, query.offset);
   sub.limit = query.limit < 0 ? -1 : offset + query.limit;
   for (int s = 0; s < num_shards(); ++s) {
-    plan.subtasks.push_back({s, Query(sub), nullptr});
+    plan.subtasks.push_back({s, Query(sub)});
   }
   return plan;
 }
@@ -188,26 +159,13 @@ Result<ShardedEngine::ShardPlan> ShardedEngine::PlanHistogram(
   }
   ShardPlan plan;
   if (!info->partitioned) {
-    plan.subtasks.push_back({NextRoundRobinShard(), Query(query), nullptr});
-    return plan;
-  }
-  if (options_.morsel_execution) {
-    // One shared queue over the whole table; every shard joins the steal
-    // loop. Which worker scans which morsel is decided at execution
-    // time — bin counts are int64-exact so any interleaving merges
-    // bitwise.
-    auto queue = std::make_shared<MorselQueue>();
-    queue->morsel_rows = morsel_rows_;
-    queue->num_morsels = (info->rows + morsel_rows_ - 1) / morsel_rows_;
-    for (int s = 0; s < num_shards(); ++s) {
-      plan.subtasks.push_back({s, Query(query), queue});
-    }
+    plan.subtasks.push_back({NextRoundRobinShard(), Query(query)});
     return plan;
   }
   // Bins are fixed by the query, so every shard builds the same-shaped
   // partial histogram over its chunk.
   for (int s = 0; s < num_shards(); ++s) {
-    plan.subtasks.push_back({s, Query(query), nullptr});
+    plan.subtasks.push_back({s, Query(query)});
   }
   return plan;
 }
@@ -224,23 +182,17 @@ Result<ShardedEngine::ShardPlan> ShardedEngine::PlanJoinPage(
     return Status::NotFound("table '" + query.right_table +
                             "' is not registered");
   }
-  if (right->partitioned && !options_.morsel_execution) {
+  if (right->partitioned) {
     return Status::InvalidArgument(
         "join probe side '" + query.right_table +
         "' is partitioned; a sharded join needs it replicated "
         "(ShardedEngine::ReplicateTable) so no cross-shard match is lost");
   }
   ShardPlan plan;
-  if (options_.morsel_execution) {
-    // Morsel mode: every shard holds both tables in full, so the join
-    // runs unsplit on one shard — no cross-shard match to lose.
-    plan.subtasks.push_back({NextRoundRobinShard(), Query(query), nullptr});
-    return plan;
-  }
   if (!left->partitioned || query.limit < 0 || query.offset < 0) {
     // Replicated-only joins run on one shard; invalid pages are routed
     // there too so the engine's own validation reports the error.
-    plan.subtasks.push_back({NextRoundRobinShard(), Query(query), nullptr});
+    plan.subtasks.push_back({NextRoundRobinShard(), Query(query)});
     return plan;
   }
   // The left page is positional, so it maps onto the shards whose
@@ -256,7 +208,7 @@ Result<ShardedEngine::ShardPlan> ShardedEngine::PlanJoinPage(
     JoinPageQuery sub = query;
     sub.offset = lo - chunk_begin;
     sub.limit = hi - lo;
-    plan.subtasks.push_back({s, Query(sub), nullptr});
+    plan.subtasks.push_back({s, Query(sub)});
   }
   if (plan.subtasks.empty()) {
     // Page past the end (or LIMIT 0): an empty-page probe on one shard
@@ -264,7 +216,7 @@ Result<ShardedEngine::ShardPlan> ShardedEngine::PlanJoinPage(
     JoinPageQuery sub = query;
     sub.offset = 0;
     sub.limit = 0;
-    plan.subtasks.push_back({0, Query(sub), nullptr});
+    plan.subtasks.push_back({0, Query(sub)});
   }
   return plan;
 }
@@ -367,26 +319,13 @@ Result<QueryResponse> ShardedEngine::Merge(
   return merged;
 }
 
-Result<QueryResponse> ShardedEngine::ExecuteSubtask(
-    const Subtask& task) const {
-  if (task.morsels != nullptr) {
-    const auto* h = std::get_if<HistogramQuery>(&task.query);
-    if (h == nullptr) {
-      return Status::Internal(
-          "morsel subtask carries a non-histogram query");
-    }
-    return shard(task.shard)->ExecuteHistogramMorsels(*h,
-                                                      task.morsels.get());
-  }
-  return shard(task.shard)->Execute(task.query);
-}
-
 Result<QueryResponse> ShardedEngine::Execute(const Query& query) const {
   IDEVAL_ASSIGN_OR_RETURN(ShardPlan plan, Plan(query));
   std::vector<QueryResponse> partials;
   partials.reserve(plan.subtasks.size());
   for (const Subtask& task : plan.subtasks) {
-    IDEVAL_ASSIGN_OR_RETURN(QueryResponse partial, ExecuteSubtask(task));
+    IDEVAL_ASSIGN_OR_RETURN(QueryResponse partial,
+                            shard(task.shard)->Execute(task.query));
     partials.push_back(std::move(partial));
   }
   return Merge(query, plan, std::move(partials));

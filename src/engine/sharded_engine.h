@@ -21,22 +21,6 @@ struct ShardedEngineOptions {
   int num_shards = 2;
   /// Per-shard engine configuration (profile, buffer pool, cost model).
   EngineOptions engine_options;
-  /// Morsel-driven parallelism (docs/kernels.md): `PartitionTable` keeps
-  /// one shared copy of the table visible to every shard, and histogram
-  /// plans carry a shared `MorselQueue` — shard workers claim ~64K-row
-  /// morsels with an atomic increment, so a worker that finishes early
-  /// steals the work a static range split would strand on the slowest
-  /// peer. Results stay bitwise identical to range partitioning (int64
-  /// bin counts are order-independent). Off by default: static ranges
-  /// keep the modelled per-shard time of the scale-out ablations, and a
-  /// morsel plan is single-use (its queue drains).
-  bool morsel_execution = false;
-  /// Rows per morsel before rounding up to a multiple of
-  /// `engine_options.zone_map_block_rows` (so no zone-map block straddles
-  /// two morsels and block accounting stays exact). 64K rows ≈ 0.5 MB of
-  /// an 8-byte column — large enough to amortize the queue atomic, small
-  /// enough to balance tails.
-  int64_t morsel_rows = 65536;
 };
 
 /// Horizontal scale-out over K independent single-node `Engine`s.
@@ -124,12 +108,6 @@ class ShardedEngine {
   struct Subtask {
     int shard = 0;
     Query query;
-    /// Shared morsel work queue driving this subtask's steal loop; null
-    /// for range-partitioned or single-shard subtasks. All subtasks of
-    /// one plan share the same queue, which makes the plan single-use:
-    /// once executed, the queue is drained and re-running the plan
-    /// returns empty partials.
-    std::shared_ptr<MorselQueue> morsels;
   };
 
   /// The scatter plan for one client query: which shards run what.
@@ -147,25 +125,10 @@ class ShardedEngine {
   Result<QueryResponse> Merge(const Query& query, const ShardPlan& plan,
                               std::vector<QueryResponse> partials) const;
 
-  /// Executes one subtask of a plan on its shard: the morsel steal loop
-  /// (`Engine::ExecuteHistogramMorsels`) when the subtask carries a
-  /// queue, plain `Engine::Execute` otherwise. This is what the
-  /// `QueryServer` shard pool runs concurrently — subtasks sharing a
-  /// queue may execute in parallel from any threads.
-  Result<QueryResponse> ExecuteSubtask(const Subtask& task) const;
-
   /// Convenience: `Plan`, execute every subtask serially on its shard,
   /// `Merge`. The reference path for correctness tests; concurrent callers
-  /// are fine. Under morsel execution the first subtask drains the whole
-  /// queue and the rest contribute empty partials — same merged result.
+  /// are fine.
   Result<QueryResponse> Execute(const Query& query) const;
-
-  bool morsel_execution() const { return options_.morsel_execution; }
-
-  /// Effective rows per morsel (the configured value rounded up to a
-  /// multiple of the zone-map block size); 0 when morsel execution is
-  /// off.
-  int64_t morsel_rows() const { return morsel_rows_; }
 
   /// The kernel ISA the shard engines resolved to (identical across
   /// shards — they share one `EngineOptions`).
@@ -178,8 +141,6 @@ class ShardedEngine {
     /// Global first row of each shard's chunk plus a trailing total;
     /// size num_shards+1. Empty for replicated tables.
     std::vector<int64_t> bounds;
-    /// Total rows, for sizing morsel queues.
-    int64_t rows = 0;
   };
 
   explicit ShardedEngine(ShardedEngineOptions options);
@@ -195,8 +156,6 @@ class ShardedEngine {
   Result<ShardPlan> PlanJoinPage(const JoinPageQuery& query) const;
 
   ShardedEngineOptions options_;
-  /// Effective morsel size; see `morsel_rows()`.
-  int64_t morsel_rows_ = 0;
   std::vector<std::unique_ptr<Engine>> shards_;
   std::map<std::string, TableInfo> tables_;
   mutable std::atomic<uint32_t> rr_cursor_{0};

@@ -1,12 +1,23 @@
 #include "serve/result_cache.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <utility>
+
+#include "common/text_table.h"
 
 namespace ideval {
 
 namespace {
+
+/// The tighter of two range bounds (`lower`: the larger). A NaN bound
+/// excludes nothing (engine/kernels/kernels.h), so the other one wins.
+double Tighter(double a, double b, bool lower) {
+  if (std::isnan(a)) return b;
+  if (std::isnan(b)) return a;
+  return lower ? std::max(a, b) : std::min(a, b);
+}
 
 /// Conjunction-preserving predicate normalization; see `CanonicalQueryKey`.
 std::vector<Predicate> NormalizePredicates(
@@ -19,8 +30,8 @@ std::vector<Predicate> NormalizePredicates(
     if (const auto* r = std::get_if<RangePredicate>(&p)) {
       auto [it, inserted] = ranges.try_emplace(r->column, *r);
       if (!inserted) {
-        it->second.lo = std::max(it->second.lo, r->lo);
-        it->second.hi = std::min(it->second.hi, r->hi);
+        it->second.lo = Tighter(it->second.lo, r->lo, /*lower=*/true);
+        it->second.hi = Tighter(it->second.hi, r->hi, /*lower=*/false);
       }
     } else if (const auto* in = std::get_if<StringInPredicate>(&p)) {
       StringInPredicate norm = *in;
@@ -52,6 +63,26 @@ std::vector<Predicate> NormalizePredicates(
   return out;
 }
 
+/// A double rendered losslessly: `%a` gives every value its own
+/// spelling, so keys never round the way `QueryToString`'s `%g` does.
+std::string ExactDouble(double v) { return StrFormat("%a", v); }
+
+/// Normalized conjuncts with exact range bounds. −0.0 and +0.0 bounds
+/// select the same rows, as do all NaN bounds, so each pair keys alike.
+std::string PredicatesKey(const std::vector<Predicate>& predicates) {
+  const auto bound = [](double v) {
+    return std::isnan(v) ? "nan" : ExactDouble(v == 0.0 ? 0.0 : v);
+  };
+  std::string out;
+  for (const Predicate& p : NormalizePredicates(predicates)) {
+    const auto* r = std::get_if<RangePredicate>(&p);
+    out += " AND " + (r == nullptr ? PredicateToString(p)
+                                   : r->column + " IN [" + bound(r->lo) +
+                                         ", " + bound(r->hi) + "]");
+  }
+  return out;
+}
+
 int64_t ValueBytes(const Value& v) {
   // Variant header plus string payload; numerics fit inline.
   return v.is_string() ? 32 + static_cast<int64_t>(v.str().size()) : 16;
@@ -61,16 +92,21 @@ int64_t ValueBytes(const Value& v) {
 
 std::string CanonicalQueryKey(const Query& query) {
   if (const auto* s = std::get_if<SelectQuery>(&query)) {
-    SelectQuery norm = *s;
-    norm.predicates = NormalizePredicates(s->predicates);
-    if (norm.offset < 0) norm.offset = 0;
-    if (norm.limit < 0) norm.limit = -1;
-    return QueryToString(Query(std::move(norm)));
+    std::string cols;
+    for (const std::string& c : s->columns) cols += c + ",";
+    return StrFormat("SELECT %s FROM %s LIMIT %lld OFFSET %lld",
+                     cols.c_str(), s->table.c_str(),
+                     static_cast<long long>(std::max<int64_t>(-1, s->limit)),
+                     static_cast<long long>(std::max<int64_t>(0, s->offset))) +
+           PredicatesKey(s->predicates);
   }
   if (const auto* h = std::get_if<HistogramQuery>(&query)) {
-    HistogramQuery norm = *h;
-    norm.predicates = NormalizePredicates(h->predicates);
-    return QueryToString(Query(std::move(norm)));
+    // Bin edges stay bit-exact (−0.0 included): the answer echoes them.
+    return StrFormat("HISTOGRAM %s FROM %s BINS %lld [",
+                     h->bin_column.c_str(), h->table.c_str(),
+                     static_cast<long long>(h->bins)) +
+           ExactDouble(h->bin_lo) + ", " + ExactDouble(h->bin_hi) + ")" +
+           PredicatesKey(h->predicates);
   }
   return QueryToString(query);
 }

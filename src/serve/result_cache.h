@@ -20,9 +20,13 @@
 namespace ideval {
 
 /// Canonical cache key for a query: semantically equivalent queries render
-/// to the same key so they collide in the result cache. Normalization is
-/// conjunction-preserving only — it never changes what rows a query
-/// matches:
+/// to the same key so they collide in the result cache, and no two
+/// different queries do. Every double renders exactly (`%a`), so bounds
+/// that agree to 16 significant digits still get their own entries; a
+/// range bound's −0.0 keys as +0.0 and every NaN bound keys alike (each
+/// pair selects the same rows), while bin edges stay bit-exact because
+/// the answer echoes them. Normalization is conjunction-preserving only —
+/// it never changes what rows a query matches:
 ///  - range predicates on the same column intersect into one conjunct
 ///    (`a >= 1 AND a >= 3` keys as `a >= 3`);
 ///  - `IN` lists are sorted and deduplicated;

@@ -210,7 +210,7 @@ QueryServer::QueryServer(const Engine* engine, const ShardedEngine* sharded,
                   })
             : ResultCache::TracedBackend(
                   [this](const Query& q, const TraceContext&, uint64_t) {
-                    return engine_->Execute(q);
+                    return ExecuteUnsharded(q);
                   });
   }
   if (options_.enable_tracing) {
@@ -340,10 +340,10 @@ void QueryServer::RegisterMetrics() {
       "Fraction of table rows resolved when a progressive query returned");
   hot_.morsel_morsels = mreg_->RegisterCounter(
       "ideval_morsel_morsels_total",
-      "Morsels claimed from shared work queues by shard workers");
+      "Morsels of posted histogram scans claimed by helping workers");
   hot_.morsel_queries = mreg_->RegisterCounter(
       "ideval_morsel_queries_total",
-      "Queries scattered to the shard pool with a shared morsel queue");
+      "Histogram scans posted for idle workers to join");
   gauges_.qif_qps = mreg_->RegisterGauge(
       "ideval_serve_qif_qps", "Offered load over the sliding window");
   gauges_.throughput_window_qps = mreg_->RegisterGauge(
@@ -703,6 +703,64 @@ PendingGroup QueryServer::PopGroup(ServeSession* session) {
   return g;
 }
 
+Result<QueryResponse> QueryServer::ExecuteUnsharded(const Query& query) {
+  // Selects and join pages stop early at LIMIT, so they stay on this
+  // thread; so does everything on a one-worker server.
+  const auto* hq = std::get_if<HistogramQuery>(&query);
+  if (hq == nullptr || options_.num_workers < 2) return engine_->Execute(query);
+  IDEVAL_ASSIGN_OR_RETURN(std::unique_ptr<HistogramScan> scan,
+                          engine_->PrepareHistogram(*hq));
+  PostedScan post;
+  post.scan = scan.get();
+  const bool elastic = scan->queue.num_morsels >= 2;
+  if (elastic) {
+    int64_t wake = 0;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      posted_scans_.push_back(&post);
+      wake = std::min<int64_t>(parked_workers_, scan->queue.num_morsels - 1);
+    }
+    morsel_queries_.fetch_add(1, std::memory_order_relaxed);
+    if (hot_.morsel_queries != nullptr) hot_.morsel_queries->Increment();
+    for (int64_t i = 0; i < wake; ++i) work_cv_.notify_one();
+  }
+  HistogramPartial own;
+  engine_->RunHistogramMorsels(*scan, &own);
+  if (elastic) {
+    // Unposted under the lock, so no helper joins after this point;
+    // wait only for those that did.
+    std::unique_lock<std::mutex> lock(mu_);
+    posted_scans_.erase(
+        std::find(posted_scans_.begin(), posted_scans_.end(), &post));
+    post.done_cv.wait(lock, [&post] { return post.finished == post.joined; });
+  }
+  post.partials.push_back(std::move(own));
+  return engine_->MergeHistogram(*scan, post.partials);
+}
+
+bool QueryServer::HelpPostedScan(std::unique_lock<std::mutex>* lock) {
+  // A relaxed read of the queue: a stale answer only costs an empty join.
+  auto it = std::find_if(
+      posted_scans_.begin(), posted_scans_.end(), [](const PostedScan* p) {
+        const MorselQueue& q = p->scan->queue;
+        return q.next.load(std::memory_order_relaxed) < q.num_morsels;
+      });
+  if (it == posted_scans_.end()) return false;
+  PostedScan* post = *it;
+  ++post->joined;
+  lock->unlock();
+  HistogramPartial partial;
+  const int64_t claimed = engine_->RunHistogramMorsels(*post->scan, &partial);
+  lock->lock();
+  post->partials.push_back(std::move(partial));
+  // The owner may return the moment `finished` catches up: `post` must not
+  // be touched after this.
+  if (++post->finished == post->joined) post->done_cv.notify_one();
+  morsels_executed_.fetch_add(claimed, std::memory_order_relaxed);
+  if (hot_.morsel_morsels != nullptr) hot_.morsel_morsels->Increment(claimed);
+  return true;
+}
+
 void QueryServer::ShardWorkerLoop() {
   std::unique_lock<std::mutex> lock(shard_mu_);
   for (;;) {
@@ -716,15 +774,9 @@ void QueryServer::ShardWorkerLoop() {
     lock.unlock();
 
     const SimTime t0 = Now();
-    Result<QueryResponse> r = sharded_->ExecuteSubtask(*task.subtask);
+    Result<QueryResponse> r =
+        sharded_->shard(task.subtask->shard)->Execute(task.subtask->query);
     const Duration wall = Now() - t0;
-    if (r.ok() && r->stats.morsels_executed > 0) {
-      morsels_executed_.fetch_add(r->stats.morsels_executed,
-                                  std::memory_order_relaxed);
-      if (hot_.morsel_morsels != nullptr) {
-        hot_.morsel_morsels->Increment(r->stats.morsels_executed);
-      }
-    }
     if (task.trace.enabled()) {
       RecordSpan(task.trace, SpanKind::kShardExec,
                  task.trace.buffer->NewSpanId(), task.parent_span,
@@ -781,11 +833,6 @@ QueryServer::GroupOutcome QueryServer::ExecuteGroupSharded(
     pq.plan = std::move(*plan);
     pq.first_slot = total_subtasks;
     total_subtasks += pq.plan.subtasks.size();
-    if (!pq.plan.subtasks.empty() &&
-        pq.plan.subtasks[0].morsels != nullptr) {
-      morsel_queries_.fetch_add(1, std::memory_order_relaxed);
-      if (hot_.morsel_queries != nullptr) hot_.morsel_queries->Increment();
-    }
     planned.push_back(std::move(pq));
   }
 
@@ -898,10 +945,6 @@ Result<QueryResponse> QueryServer::ExecuteOneSharded(
   Span scatter(trace, SpanKind::kScatter, parent_span_id);
   IDEVAL_ASSIGN_OR_RETURN(ShardedEngine::ShardPlan plan,
                           sharded_->Plan(query));
-  if (!plan.subtasks.empty() && plan.subtasks[0].morsels != nullptr) {
-    morsel_queries_.fetch_add(1, std::memory_order_relaxed);
-    if (hot_.morsel_queries != nullptr) hot_.morsel_queries->Increment();
-  }
   const size_t n = plan.subtasks.size();
   std::vector<std::optional<Result<QueryResponse>>> slots(n);
   std::vector<Duration> walls(n);
@@ -1044,15 +1087,7 @@ QueryServer::ProgressiveGroupOutcome QueryServer::ExecuteGroupProgressive(
       int64_t partials = 0;
       int64_t pass_base = 0;
       bool any_approx = false;
-      // A morsel plan partitions *work*, not data: every subtask sees
-      // the full table, so one progressive partial already covers
-      // everything — running all K would count each row K times.
-      const size_t n_parts =
-          !plan->subtasks.empty() && plan->subtasks[0].morsels != nullptr
-              ? 1
-              : plan->subtasks.size();
-      for (size_t si = 0; si < n_parts; ++si) {
-        const auto& sub = plan->subtasks[si];
+      for (const auto& sub : plan->subtasks) {
         const auto* shard_hq = std::get_if<HistogramQuery>(&sub.query);
         if (shard_hq == nullptr) {
           ok = false;
@@ -1183,11 +1218,15 @@ void QueryServer::WorkerLoop() {
     bool has_deadline = false;
     ServeSession* s = PickSession(Now(), &deadline, &has_deadline);
     if (s == nullptr) {
+      // Sessions first: only a worker with nothing runnable helps.
+      if (HelpPostedScan(&lock)) continue;
+      ++parked_workers_;
       if (has_deadline) {
         work_cv_.wait_until(lock, ToSteady(deadline));
       } else {
         work_cv_.wait(lock);
       }
+      --parked_workers_;
       continue;
     }
     PendingGroup group = PopGroup(s);
@@ -1264,7 +1303,7 @@ void QueryServer::WorkerLoop() {
             if (capture) results.emplace_back(std::nullopt);
           }
         } else {
-          auto r = engine_->Execute(query);
+          auto r = ExecuteUnsharded(query);
           if (r.ok()) {
             ++executed;
             exec.SetAttrs(r->stats.tuples_scanned, r->stats.blocks_scanned,
@@ -1474,7 +1513,6 @@ ServerStatsSnapshot QueryServer::Snapshot(bool with_attribution) {
   }
   snap.kernel_isa = KernelIsaToString(
       engine_ != nullptr ? engine_->kernel_isa() : sharded_->kernel_isa());
-  snap.morsel_execution = sharded_ != nullptr && sharded_->morsel_execution();
   snap.morsels_executed = morsels_executed_.load(std::memory_order_relaxed);
   snap.morsel_queries = morsel_queries_.load(std::memory_order_relaxed);
   if (result_cache_ != nullptr) {
@@ -1556,7 +1594,6 @@ void QueryServer::ObserveSample(const StatsSample& sample) {
   // capture path below is safe.
   if (slo_ == nullptr) return;
   const SloEngine::EvalResult r = slo_->Evaluate(sample);
-  slo_critical_.store(r.any_critical, std::memory_order_relaxed);
   if (options_.slo_admission) {
     std::lock_guard<std::mutex> lock(mu_);
     controller_.SetSloCritical(r.any_critical);
@@ -1564,6 +1601,8 @@ void QueryServer::ObserveSample(const StatsSample& sample) {
   if (r.entered_critical && flight_ != nullptr) {
     CaptureBundle("slo:" + r.entered + ":critical", sample.t_s);
   }
+  // Published last, so whoever sees the page also finds its bundle.
+  slo_critical_.store(r.any_critical, std::memory_order_relaxed);
 }
 
 int64_t QueryServer::CaptureFlightBundle(const std::string& reason) {

@@ -377,8 +377,6 @@ class QueryServer {
   struct ShardTask {
     /// The planned per-shard partial, pointing into the dispatching
     /// worker's `ShardPlan` (valid until completion, like the rest).
-    /// Executed via `ShardedEngine::ExecuteSubtask`, which runs the
-    /// morsel steal loop when the subtask carries a queue.
     const ShardedEngine::Subtask* subtask = nullptr;
     /// Slot for the partial result and its wall execution time.
     std::optional<Result<QueryResponse>>* result = nullptr;
@@ -424,6 +422,29 @@ class QueryServer {
   Result<QueryResponse> ExecuteOneSharded(const Query& query,
                                           const TraceContext& trace,
                                           uint64_t parent_span_id);
+
+  /// The unsharded miss path (the shared cache's backend and the
+  /// cacheless worker path). On a multi-worker server a histogram of two
+  /// or more morsels is posted for idle workers to join while this thread
+  /// scans too (docs/serve.md); everything else runs on `engine_`
+  /// directly. Called outside every lock.
+  Result<QueryResponse> ExecuteUnsharded(const Query& query);
+
+  /// A histogram scan posted on the board: lives on its owner's stack
+  /// until the owner has unposted it and every helper has finished.
+  struct PostedScan {
+    const HistogramScan* scan = nullptr;
+    // Guarded by mu_.
+    std::vector<HistogramPartial> partials;  ///< Helpers' partials.
+    int joined = 0;                          ///< Helpers that joined.
+    int finished = 0;                        ///< Helpers done.
+    std::condition_variable done_cv;         ///< Signals `finished`.
+  };
+
+  /// Joins one posted scan with unclaimed morsels, if any: runs its steal
+  /// loop outside `*lock` and hands the partial to the owner. Returns
+  /// false when no scan needs help. Caller holds `*lock` (on `mu_`).
+  bool HelpPostedScan(std::unique_lock<std::mutex>* lock);
 
   /// Per-group tally of a progressive execution, folded into the
   /// counters/registry under `mu_` after the group completes.
@@ -512,6 +533,10 @@ class QueryServer {
   size_t rr_cursor_ = 0;              ///< Round-robin start. Guarded by mu_.
   int64_t in_flight_ = 0;             ///< Groups being executed right now.
   bool stop_ = false;
+  /// The board of scans idle workers may join, and the number of workers
+  /// parked on `work_cv_`. Guarded by mu_.
+  std::vector<PostedScan*> posted_scans_;
+  int parked_workers_ = 0;
 
   /// Registry handles for the hot-path sites. All null when
   /// `enable_metrics` is off, so each site costs one branch; when on,
@@ -537,8 +562,8 @@ class QueryServer {
     Counter* prog_deadline_hits = nullptr;
     Counter* prog_refinements = nullptr;
     Histogram* prog_rows_fraction = nullptr;
-    // Morsel family (docs/kernels.md) — zero on unsharded or
-    // range-partitioned servers, same stable-schema discipline.
+    // Morsel family (docs/kernels.md) — zero on single-worker and
+    // sharded servers, same stable-schema discipline.
     Counter* morsel_morsels = nullptr;
     Counter* morsel_queries = nullptr;
   };
@@ -602,12 +627,12 @@ class QueryServer {
   std::condition_variable refine_cv_;  ///< Wakes the refinement thread.
   std::thread refine_thread_;  ///< Joinable iff refinement is enabled.
 
-  // --- Shard-executor pool (sharded servers only). ---
-  /// Morsels claimed from shared queues by shard workers, and queries
-  /// that scattered with a morsel queue. Relaxed atomics: folded in by
-  /// shard workers, read by `Snapshot` — no ordering against anything.
+  /// Morsels claimed by helpers of posted scans, and scans posted.
+  /// Relaxed atomics read by `Snapshot` — no ordering against anything.
   std::atomic<int64_t> morsels_executed_{0};
   std::atomic<int64_t> morsel_queries_{0};
+
+  // --- Shard-executor pool (sharded servers only). ---
   std::mutex shard_mu_;
   std::condition_variable shard_cv_;
   std::deque<ShardTask> shard_queue_;  ///< Guarded by shard_mu_.

@@ -112,8 +112,8 @@ std::string ServerStatsSnapshot::ToText() const {
                              kernel_isa.c_str(), cpu.sse42 ? 1 : 0,
                              cpu.avx2 ? 1 : 0, cpu.avx512 ? 1 : 0)});
   }
-  if (morsel_execution) {
-    global.AddCountRow("morsel queries / morsels executed",
+  if (morsel_queries > 0) {
+    global.AddCountRow("posted scans / helper morsels",
                        {morsel_queries, morsels_executed});
   }
   global.AddRow({"policy (configured / effective)",

@@ -165,15 +165,13 @@ struct ServerStatsSnapshot {
   int64_t progressive_refinements = 0;
   double progressive_rows_fraction_mean = 0.0;
 
-  /// SIMD kernel / morsel-execution state (docs/kernels.md).
+  /// SIMD kernel / elastic-morsel state (docs/kernels.md).
   /// `kernel_isa` names the kernel table the backend resolved at
   /// startup ("scalar", "sse4.2", "avx2" — identical results, different
-  /// speed); `morsels_executed` counts morsels claimed from shared work
-  /// queues by shard workers and `morsel_queries` the queries that
-  /// scattered with such a queue (both 0 unless the backend is sharded
-  /// with `morsel_execution` on).
+  /// speed); `morsel_queries` counts histogram scans a worker posted for
+  /// idle workers to join and `morsels_executed` the morsels those
+  /// helpers claimed (both 0 on single-worker and sharded servers).
   std::string kernel_isa = "scalar";
-  bool morsel_execution = false;
   int64_t morsels_executed = 0;
   int64_t morsel_queries = 0;
 

@@ -1,6 +1,7 @@
 #include "storage/column.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace ideval {
 
@@ -124,10 +125,13 @@ ColumnZoneMap Column::BuildZoneMap(int64_t block_rows) const {
         hi = std::max(hi, d);
       }
     } else {
+      // A NaN passes every range conjunct, so a block holding one must
+      // never be pruned: its summary becomes NaN, which compares false
+      // against every bound.
       const auto& v = std::get<1>(data_);
-      for (size_t i = begin + 1; i < end; ++i) {
-        lo = std::min(lo, v[i]);
-        hi = std::max(hi, v[i]);
+      for (size_t i = begin + 1; i < end && !std::isnan(lo); ++i) {
+        lo = std::isnan(v[i]) ? v[i] : std::min(lo, v[i]);
+        hi = std::isnan(v[i]) ? v[i] : std::max(hi, v[i]);
       }
     }
     zm.min.push_back(lo);

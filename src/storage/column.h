@@ -15,7 +15,8 @@ namespace ideval {
 /// `b` summarizes the `b`-th block of `block_rows` consecutive rows;
 /// `min`/`max` are empty for string columns (no range pruning there).
 /// Int64 values are widened to double, matching how `RangePredicate`
-/// compares them.
+/// compares them. A block holding a NaN summarizes as NaN, so no range
+/// conjunct prunes it (a NaN value passes every range conjunct).
 struct ColumnZoneMap {
   std::vector<double> min;
   std::vector<double> max;

@@ -78,7 +78,7 @@ for key in ("config", "build", "overhead", "net", "attribution",
     assert key in serve, f"serve export missing {key}"
 for key in ("workers", "clients", "shards", "policy", "shared_cache",
             "zone_maps", "smoke", "rows", "moves", "time_compression",
-            "stats_poll_ms", "kernels", "kernel_isa", "morsels",
+            "stats_poll_ms", "kernels", "kernel_isa",
             "cpu_sse42", "cpu_avx2", "cpu_avx512"):
     assert key in serve["config"], f"serve config missing {key}"
 assert serve["config"]["kernel_isa"] in ("scalar", "sse42", "avx2",

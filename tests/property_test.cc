@@ -3,7 +3,11 @@
 /// where applicable.
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
+#include <set>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -399,64 +403,131 @@ TEST_P(ShardedOracleTest, HistogramMergesBitwiseEqual) {
   }
 }
 
-TEST_P(ShardedOracleTest, MorselExecutionMatchesRangePartition) {
-  // Morsel-driven execution (docs/kernels.md) claims ~64K-row morsels
-  // from a shared atomic queue instead of giving each worker one fixed
-  // range. Claim order is nondeterministic, so this is the merge-
-  // commutativity property: the merged histogram must be bitwise equal
-  // to both the range-partitioned sharded run and the unsharded run,
-  // with identical summed work counters, for any seed.
-  Rng rng(static_cast<uint64_t>(GetParam()) * 6553 + 7);
-  TablePtr table = RandomTable(&rng, rng.UniformInt(40, 2000));
-  Engine engine(EngineOptions{});
-  ASSERT_TRUE(engine.RegisterTable(table).ok());
+/// A table for the morsel property: the binned column "a" trends upward
+/// (so zone maps prune whole blocks) and holds some ±inf; the filter
+/// column "c" holds NaN and ±inf. A NaN value passes every range conjunct;
+/// a NaN bin value is undefined (engine/kernels/kernels.h), so "a" has
+/// none.
+TablePtr MorselTable(Rng* rng, int64_t rows) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Schema schema({{"a", DataType::kDouble},
+                 {"b", DataType::kInt64},
+                 {"c", DataType::kDouble}});
+  TableBuilder builder("rand", schema);
+  for (int64_t i = 0; i < rows; ++i) {
+    double a = -100.0 + 200.0 * static_cast<double>(i) /
+                            static_cast<double>(rows) +
+               rng->Uniform(-5.0, 5.0);
+    if (rng->Bernoulli(0.01)) a = rng->Bernoulli(0.5) ? kInf : -kInf;
+    double c = rng->Uniform(-100.0, 100.0);
+    const double special = rng->NextDouble();
+    if (special < 0.03) c = std::numeric_limits<double>::quiet_NaN();
+    else if (special < 0.04) c = kInf;
+    else if (special < 0.05) c = -kInf;
+    builder.MustAppendRow(
+        {Value(a), Value(rng->UniformInt(-50, 50)), Value(c)});
+  }
+  return std::move(builder).Finish().ValueOrDie();
+}
 
-  ShardedEngineOptions range_opts;
-  range_opts.num_shards = static_cast<int>(rng.UniformInt(2, 6));
-  auto by_range = ShardedEngine::Create(range_opts).ValueOrDie();
+/// A random range conjunct: usually finite, sometimes empty (lo > hi),
+/// unbounded (±inf) or NaN-bounded (which excludes nothing).
+RangePredicate RandomRange(Rng* rng, const std::string& column) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double lo = rng->Uniform(-120.0, 100.0);
+  double hi = lo + rng->Uniform(0.0, 120.0);
+  const double shape = rng->NextDouble();
+  if (shape < 0.1) std::swap(lo, hi);
+  else if (shape < 0.2) lo = -kInf;
+  else if (shape < 0.3) hi = kInf;
+  else if (shape < 0.35) lo = std::numeric_limits<double>::quiet_NaN();
+  return RangePredicate{column, lo, hi};
+}
+
+TEST_P(ShardedOracleTest, MorselExecutionMatchesRangePartition) {
+  // Elastic morsels (docs/kernels.md): k participants claim the morsels
+  // of one HistogramScan from its atomic queue, each into a private int64
+  // partial, and the engine merges the partials. Claim order is
+  // nondeterministic, so this is the merge-commutativity property: for
+  // any seed the merged answer equals the scalar engine's Execute
+  // bitwise, with equal work counters and modelled times, and equals the
+  // range-partitioned sharded run.
+  Rng rng(static_cast<uint64_t>(GetParam()) * 6553 + 7);
+  // Small blocks so small tables still cut into many morsels, and a row
+  // count off every block and morsel boundary.
+  EngineOptions eopts;
+  eopts.enable_zone_maps = true;
+  eopts.zone_map_block_rows = rng.UniformInt(3, 40);
+  const int64_t morsel_rows = kMorselBlocks * eopts.zone_map_block_rows;
+  int64_t rows = rng.UniformInt(1, 20 * morsel_rows);
+  while (rows % eopts.zone_map_block_rows == 0 || rows % morsel_rows == 0) {
+    ++rows;
+  }
+  TablePtr table = MorselTable(&rng, rows);
+  Engine engine(eopts);
+  ASSERT_TRUE(engine.RegisterTable(table).ok());
+  EngineOptions scalar_opts = eopts;
+  scalar_opts.kernel_isa = KernelIsa::kScalar;
+  Engine scalar(scalar_opts);
+  ASSERT_TRUE(scalar.RegisterTable(table).ok());
+  ShardedEngineOptions shopts;
+  shopts.num_shards = static_cast<int>(rng.UniformInt(2, 6));
+  auto by_range = ShardedEngine::Create(shopts).ValueOrDie();
   ASSERT_TRUE(by_range->PartitionTable(table).ok());
 
-  ShardedEngineOptions morsel_opts = range_opts;
-  morsel_opts.morsel_execution = true;
-  // Tiny morsels (rounded up to one zone-map block) so even small random
-  // tables produce several morsels per worker and real interleaving.
-  morsel_opts.morsel_rows = 1;
-  auto by_morsel = ShardedEngine::Create(morsel_opts).ValueOrDie();
-  ASSERT_TRUE(by_morsel->PartitionTable(table).ok());
+  int64_t blocks_scanned = 0;
+  int64_t blocks_pruned = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    HistogramQuery q;
+    q.table = "rand";
+    q.bin_column = rng.Bernoulli(0.7) ? "a" : "b";
+    q.bin_lo = rng.Uniform(-110.0, 0.0);
+    q.bin_hi = q.bin_lo + rng.Uniform(1.0, 150.0);
+    q.bins = rng.UniformInt(1, 30);
+    q.predicates = {RandomRange(&rng, "a")};
+    if (rng.Bernoulli(0.5)) q.predicates.push_back(RandomRange(&rng, "c"));
+    if (rng.Bernoulli(0.3)) q.predicates.push_back(RandomRange(&rng, "b"));
 
-  HistogramQuery q;
-  q.table = "rand";
-  q.bin_column = "a";
-  q.bin_lo = -100.0;
-  q.bin_hi = 100.0;
-  q.bins = rng.UniformInt(1, 30);
-  const double lo_a = rng.Uniform(-120.0, 80.0);
-  q.predicates = {RangePredicate{"a", lo_a, lo_a + rng.Uniform(0.0, 180.0)}};
+    auto scan = engine.PrepareHistogram(q);
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+    const int participants = static_cast<int>(rng.UniformInt(1, 4));
+    std::vector<HistogramPartial> partials(
+        static_cast<size_t>(participants));
+    std::vector<int64_t> claimed(static_cast<size_t>(participants), 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < participants; ++t) {
+      threads.emplace_back([&, t] {
+        claimed[static_cast<size_t>(t)] = engine.RunHistogramMorsels(
+            **scan, &partials[static_cast<size_t>(t)]);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    int64_t total_claimed = 0;
+    for (int64_t c : claimed) total_claimed += c;
+    // Every morsel was claimed exactly once, and the queue stays drained.
+    EXPECT_EQ(total_claimed, (rows + morsel_rows - 1) / morsel_rows);
+    EXPECT_EQ((*scan)->queue.num_morsels, total_claimed);
+    EXPECT_GE((*scan)->queue.next.load(), total_claimed);
+    auto merged = engine.MergeHistogram(**scan, partials);
+    ASSERT_TRUE(merged.ok());
 
-  auto one = engine.Execute(Query(q));
-  auto ranged = by_range->Execute(Query(q));
-  auto morseled = by_morsel->Execute(Query(q));
-  ASSERT_TRUE(one.ok());
-  ASSERT_TRUE(ranged.ok());
-  ASSERT_TRUE(morseled.ok());
-  const auto& h1 = std::get<FixedHistogram>(one->data);
-  const auto& hr = std::get<FixedHistogram>(ranged->data);
-  const auto& hm = std::get<FixedHistogram>(morseled->data);
-  EXPECT_EQ(hm, h1);  // Bitwise: int64 bin counts merge exactly.
-  EXPECT_EQ(hm, hr);
-  EXPECT_EQ(morseled->stats.tuples_scanned, one->stats.tuples_scanned);
-  EXPECT_EQ(morseled->stats.tuples_matched, one->stats.tuples_matched);
-  // The steal loop claimed every morsel exactly once.
-  EXPECT_GT(morseled->stats.morsels_executed, 0);
-  EXPECT_EQ(ranged->stats.morsels_executed, 0);
-
-  // A morsel plan is single-use (its queue drains), but the engine must
-  // rebuild a fresh queue per Execute: a second run is identical.
-  auto again = by_morsel->Execute(Query(q));
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(std::get<FixedHistogram>(again->data), hm);
-  EXPECT_EQ(again->stats.morsels_executed,
-            morseled->stats.morsels_executed);
+    auto ref = scalar.Execute(Query(q));
+    auto ranged = by_range->Execute(Query(q));
+    ASSERT_TRUE(ref.ok());
+    ASSERT_TRUE(ranged.ok());
+    const auto& hm = std::get<FixedHistogram>(merged->data);
+    EXPECT_EQ(hm, std::get<FixedHistogram>(ref->data))
+        << QueryToString(Query(q));
+    EXPECT_EQ(hm, std::get<FixedHistogram>(ranged->data));
+    EXPECT_EQ(merged->stats, ref->stats);
+    EXPECT_EQ(merged->execution_time, ref->execution_time);
+    EXPECT_EQ(merged->post_aggregation_time, ref->post_aggregation_time);
+    blocks_scanned += merged->stats.blocks_scanned;
+    blocks_pruned += merged->stats.blocks_pruned;
+  }
+  // The merge folds each scan into the engine's pruning totals once.
+  EXPECT_EQ(engine.PruneTotals().blocks_scanned, blocks_scanned);
+  EXPECT_EQ(engine.PruneTotals().blocks_pruned, blocks_pruned);
 }
 
 TEST_P(ShardedOracleTest, SelectPageMatchesUnsharded) {
@@ -702,6 +773,97 @@ TEST_P(ResultCachePropertyTest, CachedResultsMatchUncached) {
   auto again = cache.Execute(pool[0], backend);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->outcome, CacheOutcome::kMiss);
+}
+
+TEST_P(ResultCachePropertyTest, FullPrecisionBoundsNeverShareAnEntry) {
+  // A bound and its twin that differs only in the 7th to 17th significant
+  // digit are different queries. Anchoring the bound on a data value
+  // makes the twin flip that row in or out, so a shared entry would
+  // return a wrong answer. Every answer must equal the scalar engine's.
+  Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 3);
+  TablePtr table = RandomTable(&rng, rng.UniformInt(200, 2000));
+  Engine engine(EngineOptions{});
+  ASSERT_TRUE(engine.RegisterTable(table).ok());
+  EngineOptions scalar_opts;
+  scalar_opts.kernel_isa = KernelIsa::kScalar;
+  Engine scalar(scalar_opts);
+  ASSERT_TRUE(scalar.RegisterTable(table).ok());
+  ResultCache cache(ResultCacheOptions{});
+  const ResultCache::Backend backend = [&engine](const Query& q) {
+    return engine.Execute(q);
+  };
+  const auto& a = (*table->ColumnByName("a"))->double_data();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  std::set<std::string> keys;
+  int64_t lookups = 0;
+  auto check = [&](const Query& q) {
+    keys.insert(CanonicalQueryKey(q));
+    ++lookups;
+    auto cached = cache.Execute(q, backend);
+    auto ref = scalar.Execute(q);
+    ASSERT_TRUE(cached.ok());
+    ASSERT_TRUE(ref.ok());
+    EXPECT_EQ(cached->response.data, ref->data) << QueryToString(q);
+  };
+  for (int trial = 0; trial < 20; ++trial) {
+    const double v = a[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(a.size()) - 1))];
+    const int digit = static_cast<int>(rng.UniformInt(7, 17));
+    const double sign = rng.Bernoulli(0.5) ? 1.0 : -1.0;
+    double twin = v + sign * std::fabs(v) * std::pow(10.0, 1 - digit);
+    if (twin == v) twin = std::nextafter(v, sign * kInf);
+    HistogramQuery q;
+    q.table = "rand";
+    q.bin_column = "a";
+    q.bin_lo = -100.0;
+    q.bin_hi = 100.0;
+    q.bins = rng.UniformInt(1, 20);
+    const bool lower = rng.Bernoulli(0.5);
+    HistogramQuery twin_q = q;
+    q.predicates = {lower ? RangePredicate{"a", v, v + 50.0}
+                          : RangePredicate{"a", v - 50.0, v}};
+    twin_q.predicates = {lower ? RangePredicate{"a", twin, v + 50.0}
+                               : RangePredicate{"a", v - 50.0, twin}};
+    // A bin edge twin changes the answer's edges, so it keys apart too.
+    HistogramQuery edge_q = q;
+    edge_q.bin_hi = 100.0 + 100.0 * std::pow(10.0, 1 - digit);
+    EXPECT_NE(CanonicalQueryKey(q), CanonicalQueryKey(twin_q));
+    EXPECT_NE(CanonicalQueryKey(q), CanonicalQueryKey(edge_q));
+    check(q);
+    check(twin_q);
+    check(edge_q);
+  }
+  // One entry per distinct key: no twin was ever served its sibling's.
+  EXPECT_EQ(cache.Stats().misses, static_cast<int64_t>(keys.size()));
+  EXPECT_EQ(cache.Stats().hits, lookups - static_cast<int64_t>(keys.size()));
+
+  // Spellings that select the same rows still share a key: a −0.0 range
+  // bound and +0.0, any two NaN bounds, and a NaN bound (which excludes
+  // nothing) intersected with a finite one.
+  HistogramQuery z;
+  z.table = "rand";
+  z.bin_column = "a";
+  z.bin_lo = -100.0;
+  z.bin_hi = 100.0;
+  z.bins = 10;
+  HistogramQuery z2 = z;
+  z.predicates = {RangePredicate{"a", -0.0, 50.0}};
+  z2.predicates = {RangePredicate{"a", 0.0, 50.0}};
+  EXPECT_EQ(CanonicalQueryKey(z), CanonicalQueryKey(z2));
+  z.predicates = {RangePredicate{"a", std::nan("1"), 50.0}};
+  z2.predicates = {RangePredicate{"a", -std::nan("2"), 50.0}};
+  EXPECT_EQ(CanonicalQueryKey(z), CanonicalQueryKey(z2));
+  z.predicates.push_back(RangePredicate{"a", 5.0, kInf});
+  z2.predicates = {RangePredicate{"a", 5.0, 50.0}};
+  EXPECT_EQ(CanonicalQueryKey(z), CanonicalQueryKey(z2));
+  check(z);
+  check(z2);
+  // Bin edges stay bit-exact: −0.0 and +0.0 edges are different answers.
+  z2 = z;
+  z.bin_lo = -0.0;
+  z2.bin_lo = 0.0;
+  EXPECT_NE(CanonicalQueryKey(z), CanonicalQueryKey(z2));
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInputs, ResultCachePropertyTest,

@@ -41,9 +41,10 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 # and a cached CPUID probe; the property suite calls them from the
 # engine paths TSan instruments.
 "${build_dir}/tests/kernels_test" --gtest_brief=1
-# Morsel-driven execution: shard workers claim morsels off one shared
-# atomic queue and merge partial histograms — the order-independence
-# claim lives or dies here.
+# Elastic morsels: participants claim morsels of one histogram scan off
+# a shared atomic queue into private partials that the owner merges (the
+# serve_test Morsel* cases above cross it with parked workers) — the
+# order-independence claim lives or dies here.
 "${build_dir}/tests/property_test" --gtest_brief=1 \
   --gtest_filter='*Morsel*:*Sharded*'
 

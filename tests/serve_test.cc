@@ -369,70 +369,154 @@ TEST_F(ServeTest, SharedCacheWorksOverShardedBackend) {
   EXPECT_DOUBLE_EQ(hist.total(), static_cast<double>(rows));
 }
 
-TEST_F(ServeTest, MorselExecutionServesIdenticalHistograms) {
-  // Morsel-driven execution on the *server's* shard-worker pool: the
-  // subtasks of one histogram group race on a shared MorselQueue, each
-  // claiming ~block-sized morsels with an atomic increment. This is the
-  // concurrent path (ShardedEngine::Execute drains the queue serially),
-  // so it is the test TSan must see. Results must be bitwise identical
-  // to an unsharded engine, and the morsel counters must reconcile.
-  const int64_t rows = 20000;
-  ShardedEngineOptions shopts;
-  shopts.num_shards = 3;
-  shopts.morsel_execution = true;
-  shopts.morsel_rows = 4096;  // ceil(20000 / 4096) = 5 morsels/query.
-  auto sharded = ShardedEngine::Create(shopts).ValueOrDie();
-  ASSERT_TRUE(sharded->PartitionTable(MakeServeTable(rows)).ok());
-  Engine reference{EngineOptions{}};
-  ASSERT_TRUE(reference.RegisterTable(MakeServeTable(rows)).ok());
+/// The elastic-morsel rig: a 100,000-row table cut into 13 morsels of
+/// 8 x 1,024 rows, a served engine over it and a scalar engine over the
+/// same table as the oracle, plus every completion the tests capture.
+class MorselRig {
+ public:
+  static constexpr int64_t kRows = 100000;
 
-  ServerOptions opts;
-  opts.num_workers = 2;
-  opts.max_queue_per_session = 64;
-  opts.enable_metrics = true;
-  auto made = QueryServer::Create(sharded.get(), opts);
-  ASSERT_TRUE(made.ok()) << made.status().ToString();
-  auto server = std::move(made).ValueOrDie();
+  MorselRig() {
+    EngineOptions eopts;
+    eopts.zone_map_block_rows = 1024;
+    engine_ = std::make_unique<Engine>(eopts);
+    TablePtr table = MakeServeTable(kRows);
+    EXPECT_TRUE(engine_->RegisterTable(table).ok());
+    EngineOptions scalar_opts;
+    scalar_opts.kernel_isa = KernelIsa::kScalar;
+    scalar_ = std::make_unique<Engine>(scalar_opts);
+    EXPECT_TRUE(scalar_->RegisterTable(table).ok());
+  }
 
-  const uint64_t sid = server->OpenSession();
-  constexpr int kGroups = 12;
-  std::mutex mu;
-  std::vector<GroupCompletion> done;
-  for (int i = 0; i < kGroups; ++i) {
-    auto out = server->Submit(sid, {HistQuery(rows, 10 + i)},
-                              [&](GroupCompletion&& c) {
-                                std::lock_guard<std::mutex> lock(mu);
-                                done.push_back(std::move(c));
+  std::unique_ptr<QueryServer> MakeServer(const ServerOptions& opts) {
+    auto server = QueryServer::Create(engine_.get(), opts);
+    EXPECT_TRUE(server.ok()) << server.status().ToString();
+    return std::move(server).ValueOrDie();
+  }
+
+  /// Group `i`: two filtered histograms no other group repeats, so every
+  /// query misses the shared cache.
+  static std::vector<Query> Group(int i) {
+    std::vector<Query> group;
+    for (int k = 0; k < 2; ++k) {
+      HistogramQuery q = std::get<HistogramQuery>(HistQuery(kRows, 7 + k));
+      q.bin_hi += static_cast<double>(i);
+      q.predicates = {RangePredicate{"v", 10.0 * i, kRows * 0.9 + k}};
+      group.push_back(q);
+    }
+    return group;
+  }
+
+  /// Submits group `i` with result capture.
+  void Submit(QueryServer* server, uint64_t sid, int i) {
+    std::vector<Query> group = Group(i);
+    auto out = server->Submit(sid, group,
+                              [this, group](GroupCompletion&& c) {
+                                std::lock_guard<std::mutex> lock(mu_);
+                                done_.emplace_back(group, std::move(c));
                               });
     ASSERT_TRUE(out.ok());
-    server->Drain();  // Keep every group executed (no stale sheds).
+  }
+
+  /// Every executed group's answers equal the scalar engine's.
+  void ExpectScalarAnswers() {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [group, c] : done_) {
+      if (c.terminal != GroupTerminal::kExecuted) continue;
+      ASSERT_EQ(c.results.size(), group.size());
+      for (size_t k = 0; k < group.size(); ++k) {
+        auto ref = scalar_->Execute(group[k]);
+        ASSERT_TRUE(ref.ok());
+        ASSERT_TRUE(c.results[k].has_value());
+        EXPECT_EQ(*c.results[k], ref->data) << QueryToString(group[k]);
+      }
+    }
+    done_.clear();
+  }
+
+ private:
+  std::unique_ptr<Engine> engine_;
+  std::unique_ptr<Engine> scalar_;
+  std::mutex mu_;
+  std::vector<std::pair<std::vector<Query>, GroupCompletion>> done_;
+};
+
+TEST_F(ServeTest, MorselExecutionServesIdenticalHistograms) {
+  // Elastic morsels (docs/kernels.md) with three workers and one
+  // session: while one worker runs a group the other two are parked, so
+  // they join its posted scans. Both miss paths post: the shared cache's
+  // backend and the cacheless worker path.
+  MorselRig rig;
+  for (bool shared_cache : {false, true}) {
+    MetricsRegistry registry;
+    ServerOptions opts;
+    opts.num_workers = 3;
+    opts.enable_shared_cache = shared_cache;
+    opts.enable_metrics = true;
+    opts.metrics_registry = &registry;
+    auto server = rig.MakeServer(opts);
+    const uint64_t sid = server->OpenSession();
+    // Helpers race the owner for morsels, so keep sending groups until
+    // one has claimed some (bounded), instead of sleeping.
+    int groups = 0;
+    while (groups < 8 || (server->Snapshot(false).morsels_executed == 0 &&
+                          groups < 400)) {
+      rig.Submit(server.get(), sid, groups++);
+      server->Drain();
+    }
+    auto snap = server->Snapshot();
+    server->Stop();
+    ExpectReconciles(snap);
+    EXPECT_EQ(snap.totals.groups_executed, groups);
+    EXPECT_EQ(snap.totals.queries_failed, 0);
+    EXPECT_EQ(snap.morsel_queries, 2 * groups);  // Every histogram posted.
+    EXPECT_GT(snap.morsels_executed, 0);
+    EXPECT_EQ(registry.FindCounter("ideval_morsel_queries_total")->value(),
+              snap.morsel_queries);
+    EXPECT_EQ(registry.FindCounter("ideval_morsel_morsels_total")->value(),
+              snap.morsels_executed);
+    rig.ExpectScalarAnswers();
+  }
+}
+
+TEST_F(ServeTest, MorselScansNeedTwoWorkers) {
+  MorselRig rig;
+  ServerOptions opts;
+  opts.num_workers = 1;
+  opts.enable_shared_cache = true;
+  auto server = rig.MakeServer(opts);
+  const uint64_t sid = server->OpenSession();
+  for (int i = 0; i < 4; ++i) {
+    rig.Submit(server.get(), sid, i);
+    server->Drain();
   }
   auto snap = server->Snapshot();
   server->Stop();
+  EXPECT_EQ(snap.totals.queries_executed, 8);
+  EXPECT_EQ(snap.morsel_queries, 0);
+  EXPECT_EQ(snap.morsels_executed, 0);
+  rig.ExpectScalarAnswers();
+}
 
-  ASSERT_EQ(done.size(), static_cast<size_t>(kGroups));
-  for (const auto& c : done) {
-    ASSERT_EQ(c.terminal, GroupTerminal::kExecuted);
-    ASSERT_EQ(c.results.size(), 1u);
-    ASSERT_TRUE(c.results[0].has_value());
+TEST_F(ServeTest, StopReturnsWithMorselScanInFlight) {
+  // Three sessions keep every worker busy; Stop lands while scans are
+  // posted and helpers are inside them, and must still return, with
+  // every group that ran answered exactly.
+  MorselRig rig;
+  ServerOptions opts;
+  opts.num_workers = 3;
+  auto server = rig.MakeServer(opts);
+  for (int s = 0; s < 3; ++s) {
+    const uint64_t sid = server->OpenSession();
+    for (int i = 0; i < 4; ++i) rig.Submit(server.get(), sid, 4 * s + i);
   }
-  // Bitwise identity against the unsharded engine, per distinct bin
-  // count (completions may arrive out of submission order; match by
-  // histogram size).
-  for (const auto& c : done) {
-    const auto& hist = std::get<FixedHistogram>(*c.results[0]);
-    auto direct = reference.Execute(
-        HistQuery(rows, static_cast<int64_t>(hist.num_bins())));
-    ASSERT_TRUE(direct.ok());
-    EXPECT_EQ(hist, std::get<FixedHistogram>(direct->data));
+  for (int spins = 0; spins < 100000 &&
+                      server->Snapshot(false).morsel_queries == 0;
+       ++spins) {
+    std::this_thread::yield();
   }
-
-  EXPECT_TRUE(snap.morsel_execution);
-  EXPECT_EQ(snap.morsel_queries, kGroups);
-  // 5 morsels per query (20000 rows / 4096-row blocks), every one
-  // claimed exactly once.
-  EXPECT_EQ(snap.morsels_executed, kGroups * 5);
-  EXPECT_EQ(snap.kernel_isa, KernelIsaToString(sharded->kernel_isa()));
+  server->Stop();
+  rig.ExpectScalarAnswers();
 }
 
 TEST_F(ServeTest, SharedCacheStressReconciles) {
