@@ -145,6 +145,121 @@ void BM_CrossfilterHistogram(benchmark::State& state) {
 }
 BENCHMARK(BM_CrossfilterHistogram)->Arg(0)->Arg(1);
 
+/// The group a drag of the road table's x slider sends: histograms of y
+/// and z under x <= `x_hi` and the full y and z ranges.
+std::vector<Query> XDragGroup(double x_hi) {
+  std::vector<Query> group;
+  for (const char* column : {"y", "z"}) {
+    HistogramQuery q;
+    q.table = "dataroad";
+    q.bin_column = column;
+    q.bin_lo = column[0] == 'y' ? 56.582 : -8.608;
+    q.bin_hi = column[0] == 'y' ? 57.774 : 137.361;
+    q.bins = 20;
+    q.predicates = {RangePredicate{"x", 8.146, x_hi},
+                    RangePredicate{"y", 56.582, 57.774},
+                    RangePredicate{"z", -8.608, 137.361}};
+    group.push_back(q);
+  }
+  return group;
+}
+
+/// `Engine::Execute`s `group` into a drag base.
+HistogramGroupCounts XDragBase(Engine* engine,
+                               const std::vector<Query>& group) {
+  HistogramGroupCounts base;
+  for (const Query& q : group) {
+    auto r = engine->Execute(q);
+    if (!r.ok()) std::abort();
+    const auto& h = std::get<FixedHistogram>(r->data);
+    base.queries.push_back(std::get<HistogramQuery>(q));
+    base.counts.emplace_back(h.counts().begin(), h.counts().end());
+  }
+  return base;
+}
+
+/// The x value that `swept` rows lie at or below beyond the 60th
+/// percentile: moving x's upper bound between the two sweeps `swept` rows.
+std::pair<double, double> XDragBounds(Engine* engine, int64_t swept) {
+  std::vector<double> x =
+      (*engine->GetTable("dataroad"))->column(0).double_data();
+  std::sort(x.begin(), x.end());
+  const size_t at = x.size() * 6 / 10;
+  return {x[at], x[at + static_cast<size_t>(swept)]};
+}
+
+void BM_CrossfilterGroupScan(benchmark::State& state) {
+  // The scan a drag answer replaces: both histograms of an x-drag group.
+  // items/s counts rows scanned, one pass per histogram.
+  Engine* engine = SharedEngine(EngineProfile::kInMemoryColumnStore);
+  const std::vector<Query> group = XDragGroup(10.0);
+  int64_t tuples = 0;
+  for (auto _ : state) {
+    for (const Query& q : group) {
+      auto r = engine->Execute(q);
+      if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
+      tuples += r->stats.tuples_scanned;
+      benchmark::DoNotOptimize(r);
+    }
+  }
+  state.SetItemsProcessed(tuples);
+}
+BENCHMARK(BM_CrossfilterGroupScan);
+
+void BM_CrossfilterDrag(benchmark::State& state) {
+  // Drag answers (docs/serve.md): x's upper bound moves back and forth
+  // across `state.range(0)` rows and each iteration answers the group
+  // from the previous one. items/s counts rows swept; a swept row costs
+  // more than a scanned one (BM_CrossfilterGroupScan), and the ratio sets
+  // `kDragSweepDivisor`.
+  Engine* engine = SharedEngine(EngineProfile::kInMemoryColumnStore);
+  const auto [hi_a, hi_b] = XDragBounds(engine, state.range(0));
+  const std::vector<Query> group_a = XDragGroup(hi_a);
+  const std::vector<Query> group_b = XDragGroup(hi_b);
+  const HistogramGroupCounts base_a = XDragBase(engine, group_a);
+  const HistogramGroupCounts base_b = XDragBase(engine, group_b);
+  // The first drag over x sorts it; keep that out of the timing.
+  if (!engine->ExecuteHistogramDrag(base_a, group_b).has_value()) {
+    state.SkipWithError("drag refused");
+    return;
+  }
+  int64_t swept = 0;
+  bool forth = true;
+  for (auto _ : state) {
+    auto r = forth ? engine->ExecuteHistogramDrag(base_a, group_b)
+                   : engine->ExecuteHistogramDrag(base_b, group_a);
+    forth = !forth;
+    swept += r->front().stats.tuples_scanned;
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(swept);
+}
+BENCHMARK(BM_CrossfilterDrag)->Arg(500)->Arg(4500)->Arg(20000)->Arg(54000);
+
+void BM_DragSortedOrderBuild(benchmark::State& state) {
+  // The one-time cost of a drag over a fresh column: sorting its rows,
+  // paid by the first drag answer over it (docs/serve.md).
+  TablePtr road =
+      *SharedEngine(EngineProfile::kInMemoryColumnStore)->GetTable("dataroad");
+  const std::vector<Query> group_a = XDragGroup(10.0);
+  const std::vector<Query> group_b = XDragGroup(10.001);
+  for (auto _ : state) {
+    state.PauseTiming();
+    EngineOptions opts;
+    opts.kernel_isa = g_kernels;
+    Engine engine(opts);
+    (void)engine.RegisterTable(road);
+    const HistogramGroupCounts base = XDragBase(&engine, group_a);
+    state.ResumeTiming();
+    auto r = engine.ExecuteHistogramDrag(base, group_b);
+    if (!r.has_value()) state.SkipWithError("drag refused");
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(road->num_rows()));
+}
+BENCHMARK(BM_DragSortedOrderBuild)->Unit(benchmark::kMillisecond);
+
 void BM_SelectPage(benchmark::State& state) {
   Engine* engine = SharedEngine(ProfileOf(state));
   SelectQuery q;

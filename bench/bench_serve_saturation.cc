@@ -96,10 +96,18 @@ constexpr double kSloSlowConfirmWindowS = 2.0;
 constexpr double kSloClearHoldS = 30.0;
 
 // The overdriven breach replays run this many times denser, with as many
-// times the moves so they last as long. At `kCompression` one worker
-// catches up between drags and LCV settles near 0.6, under the 0.72 a
-// page needs (burn 14.4 at the 5% budget); denser, it stays near 0.95.
-constexpr int kBreachDensity = 4;
+// times the moves so they last as long. Most crossfilter moves are drag
+// answers (docs/serve.md) that take one worker a fraction of a scan, so
+// at 4x it catches up between drags and LCV settles near 0.6, under the
+// 0.72 a page needs (burn 14.4 at the 5% budget); at 16x it stays above
+// 0.9.
+constexpr int kBreachDensity = 16;
+// The `--http --slo` replay's clients are bound by the loopback front end,
+// not by their schedule, so density alone cannot overdrive one worker
+// that answers drags over the 20,000-row smoke table in microseconds. It
+// serves the full run's 120,000-row table instead, even in smoke, where
+// sweeps and scans keep the worker saturated.
+constexpr int64_t kBreachRows = 120000;
 
 void ApplyBenchSloOptions(ServerOptions* sopts) {
   sopts->enable_slo = true;
@@ -1486,7 +1494,7 @@ void RunHttpServe(const BenchConfig& cfg, const TablePtr& road) {
 
 void Run(const BenchConfig& cfg) {
   if (cfg.http) {
-    TablePtr road = bench::RoadScaled(cfg.rows());
+    TablePtr road = bench::RoadScaled(cfg.slo ? kBreachRows : cfg.rows());
     RunHttpServe(cfg, road);
     return;
   }

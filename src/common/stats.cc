@@ -66,7 +66,7 @@ void FixedHistogram::Add(double value, double weight) {
   const double w = bin_width();
   double idx = (value - lo_) / w;
   size_t bin;
-  if (idx < 0.0) {
+  if (!(idx >= 0.0)) {  // Below the range, or NaN.
     bin = 0;
   } else if (idx >= static_cast<double>(counts_.size())) {
     bin = counts_.size() - 1;

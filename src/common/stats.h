@@ -61,7 +61,8 @@ class FixedHistogram {
 
   /// Adds one observation; values outside [lo, hi) are clamped into the
   /// first/last bin so that totals are preserved (matching how UI
-  /// histograms render out-of-range brushes).
+  /// histograms render out-of-range brushes). A NaN goes to the first
+  /// bin, as in the engine's scan kernels.
   void Add(double value, double weight = 1.0);
 
   double lo() const { return lo_; }

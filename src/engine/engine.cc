@@ -1,9 +1,54 @@
 #include "engine/engine.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <unordered_map>
 
 namespace ideval {
+namespace {
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// True iff `a` and `b` are the same list of range conjuncts, bit for
+/// bit; false if either holds another kind of predicate.
+bool SameRanges(const std::vector<Predicate>& a,
+                const std::vector<Predicate>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t k = 0; k < a.size(); ++k) {
+    const auto* ra = std::get_if<RangePredicate>(&a[k]);
+    const auto* rb = std::get_if<RangePredicate>(&b[k]);
+    if (ra == nullptr || rb == nullptr || ra->column != rb->column ||
+        !SameBits(ra->lo, rb->lo) || !SameBits(ra->hi, rb->hi)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The positions of `sorted` (non-NaN rows of `v` in value order) whose
+/// value passes `!(x < lo) && !(x > hi)`: [L, max(L, U)) with L the
+/// first position not below `lo` and U the first above `hi`. A NaN `lo`
+/// gives L = 0 and a NaN `hi` gives U = size, as the compares are false.
+std::pair<int64_t, int64_t> PassInterval(const std::vector<uint32_t>& sorted,
+                                         const double* v, double lo,
+                                         double hi) {
+  const auto first = sorted.begin();
+  const int64_t l = std::partition_point(
+                        first, sorted.end(),
+                        [&](uint32_t r) { return v[r] < lo; }) -
+                    first;
+  const int64_t u = std::partition_point(
+                        first, sorted.end(),
+                        [&](uint32_t r) { return !(v[r] > hi); }) -
+                    first;
+  return {l, std::max(l, u)};
+}
+
+}  // namespace
 
 const char* EngineProfileToString(EngineProfile profile) {
   switch (profile) {
@@ -43,6 +88,7 @@ Status Engine::RegisterTable(TablePtr table) {
     }
     zone_maps_[name] = table->BuildZoneMaps(options_.zone_map_block_rows);
   }
+  sorted_.try_emplace(name, table->num_columns());
   tables_[name] = std::move(table);
   return Status::OK();
 }
@@ -349,6 +395,167 @@ Result<QueryResponse> Engine::MergeHistogram(
   FinalizeTimes(&response);
   RecordPruning(stats);
   return response;
+}
+
+const std::vector<uint32_t>& Engine::SortedRows(const std::string& name,
+                                                size_t column) const {
+  const SortedColumn& slot = sorted_.at(name)[column];
+  std::call_once(slot.once, [&] {
+    const std::vector<double>& v =
+        tables_.at(name)->column(column).double_data();
+    std::vector<uint32_t> rows;
+    rows.reserve(v.size());
+    for (size_t r = 0; r < v.size(); ++r) {
+      if (!std::isnan(v[r])) rows.push_back(static_cast<uint32_t>(r));
+    }
+    std::sort(rows.begin(), rows.end(),
+              [&v](uint32_t a, uint32_t b) { return v[a] < v[b]; });
+    slot.rows = std::move(rows);
+  });
+  return slot.rows;
+}
+
+std::optional<std::vector<QueryResponse>> Engine::ExecuteHistogramDrag(
+    const HistogramGroupCounts& base,
+    const std::vector<Query>& queries) const {
+  // The disk profile's page charges model a serial walk of the pool.
+  if (buffer_pool_ != nullptr || queries.empty() ||
+      base.queries.size() != queries.size() ||
+      base.counts.size() != queries.size()) {
+    return std::nullopt;
+  }
+  const auto* first = std::get_if<HistogramQuery>(&queries[0]);
+  if (first == nullptr) return std::nullopt;
+  const std::vector<Predicate>& now = first->predicates;
+  const std::vector<Predicate>& before = base.queries[0].predicates;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const auto* q = std::get_if<HistogramQuery>(&queries[i]);
+    const HistogramQuery& b = base.queries[i];
+    if (q == nullptr || q->table != first->table || b.table != q->table ||
+        q->bin_column != b.bin_column || !SameBits(q->bin_lo, b.bin_lo) ||
+        !SameBits(q->bin_hi, b.bin_hi) || q->bins != b.bins ||
+        base.counts[i].size() != static_cast<size_t>(q->bins) ||
+        !SameRanges(q->predicates, now) || !SameRanges(b.predicates, before)) {
+      return std::nullopt;
+    }
+  }
+  if (now.size() != before.size()) return std::nullopt;
+  size_t moved = now.size();
+  for (size_t k = 0; k < now.size(); ++k) {
+    const auto& rn = std::get<RangePredicate>(now[k]);
+    const auto& rb = std::get<RangePredicate>(before[k]);
+    if (rn.column != rb.column) return std::nullopt;
+    if (SameBits(rn.lo, rb.lo) && SameBits(rn.hi, rb.hi)) continue;
+    if (moved != now.size()) return std::nullopt;  // A second move.
+    moved = k;
+  }
+  if (moved == now.size()) return std::nullopt;
+
+  auto table_it = tables_.find(first->table);
+  if (table_it == tables_.end()) return std::nullopt;
+  const Table& table = *table_it->second;
+  const int64_t n = static_cast<int64_t>(table.num_rows());
+  if (n > std::numeric_limits<uint32_t>::max()) return std::nullopt;
+  const auto f64_column = [&table](const std::string& name) -> int64_t {
+    Result<size_t> idx = table.schema().FieldIndex(name);
+    if (!idx.ok() || table.schema().field(*idx).type != DataType::kDouble) {
+      return -1;
+    }
+    return static_cast<int64_t>(*idx);
+  };
+  struct Conjunct {
+    const double* v;
+    double lo, hi;
+  };
+  std::vector<Conjunct> fixed;
+  size_t moved_column = 0;
+  for (size_t k = 0; k < now.size(); ++k) {
+    const auto& r = std::get<RangePredicate>(now[k]);
+    const int64_t c = f64_column(r.column);
+    if (c < 0) return std::nullopt;
+    if (k == moved) {
+      moved_column = static_cast<size_t>(c);
+    } else {
+      fixed.push_back(Conjunct{
+          table.column(static_cast<size_t>(c)).double_data().data(), r.lo,
+          r.hi});
+    }
+  }
+  struct Bins {
+    const double* v;
+    double lo, width, dbins;
+    int64_t bins;
+  };
+  std::vector<Bins> bins;
+  for (const Query& query : queries) {
+    const auto& q = std::get<HistogramQuery>(query);
+    const int64_t c = f64_column(q.bin_column);
+    if (c < 0 || q.bins <= 0 || !(q.bin_lo < q.bin_hi)) return std::nullopt;
+    bins.push_back(Bins{
+        table.column(static_cast<size_t>(c)).double_data().data(), q.bin_lo,
+        (q.bin_hi - q.bin_lo) / static_cast<double>(q.bins),
+        static_cast<double>(q.bins), q.bins});
+  }
+
+  // The moved conjunct passes exactly the sorted positions of an
+  // interval; NaN rows pass every range, so they never change side. The
+  // rows that entered are the new interval minus the old one, those that
+  // left the old minus the new: at most two runs each.
+  const std::vector<uint32_t>& sorted = SortedRows(first->table, moved_column);
+  const double* mv = table.column(moved_column).double_data().data();
+  const auto& rb = std::get<RangePredicate>(before[moved]);
+  const auto& rn = std::get<RangePredicate>(now[moved]);
+  const auto [a0, a1] = PassInterval(sorted, mv, rb.lo, rb.hi);
+  const auto [b0, b1] = PassInterval(sorted, mv, rn.lo, rn.hi);
+  struct Run {
+    int64_t begin, end, sign;
+  };
+  const Run runs[] = {{b0, std::min(b1, a0), +1},
+                      {std::max(b0, a1), b1, +1},
+                      {a0, std::min(a1, b0), -1},
+                      {std::max(a0, b1), a1, -1}};
+  int64_t swept = 0;
+  for (const Run& run : runs) swept += std::max<int64_t>(0, run.end - run.begin);
+  if (swept > n / kDragSweepDivisor) return std::nullopt;
+
+  std::vector<std::vector<int64_t>> counts = base.counts;
+  int64_t matched = 0;
+  for (const Run& run : runs) {
+    for (int64_t p = run.begin; p < run.end; ++p) {
+      const uint32_t r = sorted[static_cast<size_t>(p)];
+      bool pass = true;
+      for (const Conjunct& c : fixed) {
+        pass = pass && !(c.v[r] < c.lo) && !(c.v[r] > c.hi);
+      }
+      if (!pass) continue;
+      ++matched;
+      for (size_t i = 0; i < bins.size(); ++i) {
+        const Bins& b = bins[i];
+        counts[i][static_cast<size_t>(
+            BinOf(b.v[r], b.lo, b.width, b.dbins, b.bins))] += run.sign;
+      }
+    }
+  }
+
+  std::vector<QueryResponse> out(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const auto& q = std::get<HistogramQuery>(queries[i]);
+    Result<FixedHistogram> hist = FixedHistogram::FromCounts(
+        q.bin_lo, q.bin_hi,
+        std::vector<double>(counts[i].begin(), counts[i].end()));
+    if (!hist.ok()) return std::nullopt;
+    QueryWorkStats& stats = out[i].stats;
+    stats.tuples_scanned = swept;
+    stats.tuples_matched = matched;
+    stats.predicates_evaluated =
+        swept * static_cast<int64_t>(fixed.size());
+    stats.groups_built = q.bins;
+    stats.rows_output = q.bins;
+    stats.bytes_output = static_cast<double>(q.bins) * 16.0;
+    out[i].data = std::move(*hist);
+    FinalizeTimes(&out[i]);
+  }
+  return out;
 }
 
 Result<QueryResponse> Engine::ExecuteJoinPage(

@@ -97,6 +97,21 @@ struct HistogramScan {
   mutable MorselQueue queue;
 };
 
+/// An executed histogram group's queries with their exact int64 counts:
+/// the base `Engine::ExecuteHistogramDrag` answers the next group from.
+struct HistogramGroupCounts {
+  std::vector<HistogramQuery> queries;
+  std::vector<std::vector<int64_t>> counts;  ///< Parallel to `queries`.
+};
+
+/// A drag answer sweeps at most 1/`kDragSweepDivisor` of the table's
+/// rows; a longer sweep scans instead. A swept row of a two-histogram
+/// group costs 6-7 ns against 1.8 ns for a row of one histogram scan
+/// (random access through the sorted order against the fused kernel's
+/// stream), so the sweep breaks even with the group's scans near 58% of
+/// the table, or 19% when three workers share each scan (docs/serve.md).
+inline constexpr int64_t kDragSweepDivisor = 8;
+
 /// Cumulative zone-map pruning effect across all queries an engine has
 /// executed since construction or the last `ClearCaches`.
 struct ScanPruneTotals {
@@ -185,6 +200,27 @@ class Engine {
       const HistogramScan& scan,
       const std::vector<HistogramPartial>& partials) const;
 
+  /// Answers the histogram group `queries` from `base`, the exact counts
+  /// of the group executed just before it, when the two differ only in
+  /// the bounds of one range conjunct: the rows that entered the moved
+  /// range are added and the rows that left it subtracted
+  /// (docs/serve.md, "Incremental drag answers"). Every answer equals
+  /// `Execute`'s data bitwise; the work counters report the rows swept
+  /// (`tuples_scanned`) and those that passed the fixed conjuncts
+  /// (`tuples_matched`), and times come from them.
+  ///
+  /// Returns nullopt, and the caller scans, unless all of these hold:
+  /// every query is a histogram over one table with one shared list of
+  /// range conjuncts over f64 columns and an f64 bin column; `base` has
+  /// the same bin specs in the same order, bit for bit; exactly one
+  /// conjunct's bounds differ, bit for bit; the profile is in-memory;
+  /// and the sweep stays within 1/`kDragSweepDivisor` of the table. The
+  /// moved column's sorted order is built on first use and kept. Safe
+  /// for concurrent callers.
+  std::optional<std::vector<QueryResponse>> ExecuteHistogramDrag(
+      const HistogramGroupCounts& base,
+      const std::vector<Query>& queries) const;
+
   EngineProfile profile() const { return options_.profile; }
   const CostModel& cost_model() const { return cost_model_; }
 
@@ -198,8 +234,9 @@ class Engine {
 
   /// Drops ephemeral execution state to model a cold start: clears the
   /// buffer pool and resets the cumulative `PruneTotals` counters. Zone
-  /// maps themselves survive — they are derived from immutable table data
-  /// (on-disk metadata in a real system), not a cache of query results.
+  /// maps and sorted orders survive — they are derived from immutable
+  /// table data (on-disk metadata in a real system), not a cache of
+  /// query results.
   ///
   /// Quiesce contract: not safe to call concurrently with `Execute`. The
   /// caller must first drain every in-flight query (e.g.
@@ -236,6 +273,12 @@ class Engine {
 
   void FinalizeTimes(QueryResponse* response) const;
 
+  /// The rows of f64 column `column` of registered table `name` whose
+  /// value is not NaN, in value order under `<` (so -0.0 and +0.0 tie).
+  /// Sorted on first use, under a once-guard, and kept.
+  const std::vector<uint32_t>& SortedRows(const std::string& name,
+                                          size_t column) const;
+
   /// Folds a finished scan's block counters into the engine totals.
   void RecordPruning(const QueryWorkStats& stats) const {
     if (stats.blocks_scanned == 0 && stats.blocks_pruned == 0) return;
@@ -255,6 +298,14 @@ class Engine {
   /// Zone maps per registered table; populated by `RegisterTable` when
   /// enabled, read-only afterwards (same lifecycle as `tables_`).
   std::map<std::string, TableZoneMaps> zone_maps_;
+  /// One lazily filled `SortedRows` slot per column of each registered
+  /// table; `RegisterTable` creates the empty slots (same lifecycle as
+  /// `tables_`), the first drag over a column fills its slot.
+  struct SortedColumn {
+    mutable std::once_flag once;
+    mutable std::vector<uint32_t> rows;
+  };
+  std::map<std::string, std::vector<SortedColumn>> sorted_;
   mutable std::mutex pool_mu_;  ///< Guards buffer_pool_ contents.
   std::unique_ptr<BufferPool> buffer_pool_;
   mutable std::atomic<int64_t> blocks_scanned_total_{0};

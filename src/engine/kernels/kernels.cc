@@ -51,18 +51,6 @@ int64_t MaskCount(const uint8_t* mask, int64_t n) {
   return count;
 }
 
-// FixedHistogram::Add bin selection, verbatim: idx = (v - lo) / width
-// with width = (hi - lo) / bins; clamp below 0 to bin 0 and >= bins to
-// the last bin; otherwise truncate. Division (not a reciprocal multiply)
-// so the quotient rounds exactly as Add's does.
-inline int64_t BinOf(double v, double lo, double width, double dbins,
-                     int64_t bins) {
-  const double idx = (v - lo) / width;
-  if (idx < 0.0) return 0;
-  if (idx >= dbins) return bins - 1;
-  return static_cast<int64_t>(idx);
-}
-
 int64_t HistMaskedF64(const double* v, const uint8_t* mask, int64_t n,
                       double lo, double hi, int64_t bins, int64_t* counts) {
   const double width = (hi - lo) / static_cast<double>(bins);

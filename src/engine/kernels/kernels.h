@@ -64,6 +64,22 @@ struct I64RangeBounds {
 
 I64RangeBounds WidenedRangeToI64(double lo, double hi);
 
+/// The one histogram bin function, `FixedHistogram::Add`'s: `idx = (v -
+/// lo) / width` with `width = (hi - lo) / bins` and `dbins = bins`; an
+/// index below 0 goes to bin 0 and one at or past `bins` to the last
+/// bin, otherwise it truncates. Division, not a reciprocal multiply, so
+/// the quotient rounds exactly as `Add`'s does. A NaN quotient also goes
+/// to bin 0, which is what the SIMD paths' `max(NaN, 0) = 0` clamp
+/// gives. `static`: each kernel translation unit is compiled with its own
+/// ISA flags and must keep its own copy, never share one with another.
+static inline int64_t BinOf(double v, double lo, double width, double dbins,
+                            int64_t bins) {
+  const double idx = (v - lo) / width;
+  if (!(idx >= 0.0)) return 0;
+  if (idx >= dbins) return bins - 1;
+  return static_cast<int64_t>(idx);
+}
+
 /// One f64 range conjunct of a fused filtered-histogram scan
 /// (`KernelOps::hist_ranges_f64`): row i passes the clause iff
 /// `!(v[i] < lo) && !(v[i] > hi)` — the same NaN-passing semantics as
@@ -90,11 +106,10 @@ struct F64RangeClause {
 ///    `CompiledPredicates::Matches`; a NaN *bound* excludes nothing.
 ///  - i64 range: row passes iff `lo <= v <= hi` over the exact widened
 ///    bounds from `WidenedRangeToI64`.
-///  - histogram binning: `FixedHistogram::Add` semantics over [lo, hi)
-///    with `bins` buckets — `idx = (v - lo) / ((hi - lo) / bins)`,
-///    clamped into [0, bins-1]. Counts accumulate into int64 (exact), so
-///    any visit order merges bitwise. A NaN bin value is UB in both the
-///    scalar and SIMD paths (as in `FixedHistogram::Add` itself).
+///  - histogram binning: `BinOf` below, `FixedHistogram::Add` semantics
+///    over [lo, hi) with `bins` buckets. Counts accumulate into int64
+///    (exact), so any visit order merges bitwise. A NaN bin value (or a
+///    NaN quotient, e.g. inf/inf) lands in bin 0 on every path.
 ///  - masked sums: the i64 sum is order-independent (exact); the f64 sum
 ///    uses a fixed 4-lane accumulation schedule replicated by every ISA,
 ///    so it too is bitwise-identical across implementations.

@@ -10,8 +10,8 @@
 //  - i64 range compares run in the integer domain against the exact
 //    pre-widened bounds, so no per-row int→double conversion happens.
 //  - histogram binning clamps the bin index with min/max *before* the
-//    truncating convert; for every non-NaN input this selects the same
-//    bin as FixedHistogram::Add's branchy clamp (maxpd(-0.0, 0.0) = 0.0,
+//    truncating convert; for every input this selects the same bin as
+//    the scalar `BinOf` (maxpd(-0.0, 0.0) = 0.0, maxpd(NaN, 0.0) = 0.0,
 //    and the truncate only runs on values already inside [0, bins-1]).
 //  - all loads/stores go through loadu/storeu or memcpy — no alignment
 //    assumptions on column spans or masks (UBSan-clean).
@@ -156,15 +156,6 @@ inline BinConsts MakeBinConsts(double lo, double hi, int64_t bins) {
   return b;
 }
 
-// Scalar reference bin (FixedHistogram::Add verbatim) — the vector-loop
-// tail.
-inline int32_t BinOfScalar(double v, const BinConsts& b) {
-  const double idx = (v - b.lo) / b.width;
-  if (idx < 0.0) return 0;
-  if (idx >= b.dbins) return static_cast<int32_t>(b.bins - 1);
-  return static_cast<int32_t>(idx);
-}
-
 // Interactive-workload data is spatially clustered (road walks, sorted
 // layouts), so consecutive rows usually land in the *same* bin and the
 // read-modify-write increments on one shared counts array serialize on
@@ -252,7 +243,7 @@ int64_t HistMaskedF64(const double* v, const uint8_t* mask, int64_t n,
   for (; i < n; ++i) {
     if (!mask[i]) continue;
     ++matched;
-    ++counts[BinOfScalar(v[i], b)];
+    ++counts[BinOf(v[i], b.lo, b.width, b.dbins, b.bins)];
   }
   return matched;
 }
@@ -275,7 +266,7 @@ int64_t HistF64(const double* v, int64_t n, double lo, double hi,
   }
   sub.MergeInto(bins, counts);
   for (; i < n; ++i) {
-    ++counts[BinOfScalar(v[i], b)];
+    ++counts[BinOf(v[i], b.lo, b.width, b.dbins, b.bins)];
   }
   return n;
 }
@@ -351,7 +342,7 @@ int64_t HistRangesF64Fixed(const double* v, int64_t n,
     }
     if (!pass) continue;
     ++matched;
-    ++counts[BinOfScalar(v[i], b)];
+    ++counts[BinOf(v[i], b.lo, b.width, b.dbins, b.bins)];
   }
   return matched;
 }
@@ -415,7 +406,7 @@ int64_t HistRangesF64(const double* v, int64_t n, double lo, double hi,
     }
     if (!pass) continue;
     ++matched;
-    ++counts[BinOfScalar(v[i], b)];
+    ++counts[BinOf(v[i], b.lo, b.width, b.dbins, b.bins)];
   }
   return matched;
 }

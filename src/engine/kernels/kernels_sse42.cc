@@ -137,13 +137,6 @@ inline BinConsts MakeBinConsts(double lo, double hi, int64_t bins) {
   return b;
 }
 
-inline int32_t BinOfScalar(double v, const BinConsts& b) {
-  const double idx = (v - b.lo) / b.width;
-  if (idx < 0.0) return 0;
-  if (idx >= b.dbins) return static_cast<int32_t>(b.bins - 1);
-  return static_cast<int32_t>(idx);
-}
-
 // Bin 2 doubles with the exact division (see the Bin4F64 note in
 // kernels_avx2.cc for why no reciprocal trick is worth it); min/max
 // clamp before the truncating convert matches the scalar branchy clamp
@@ -181,7 +174,7 @@ int64_t HistMaskedF64(const double* v, const uint8_t* mask, int64_t n,
   for (; i < n; ++i) {
     if (!mask[i]) continue;
     ++matched;
-    ++counts[BinOfScalar(v[i], b)];
+    ++counts[BinOf(v[i], b.lo, b.width, b.dbins, b.bins)];
   }
   return matched;
 }
@@ -200,7 +193,7 @@ int64_t HistF64(const double* v, int64_t n, double lo, double hi,
     ++counts[bin2[1]];
   }
   for (; i < n; ++i) {
-    ++counts[BinOfScalar(v[i], b)];
+    ++counts[BinOf(v[i], b.lo, b.width, b.dbins, b.bins)];
   }
   return n;
 }
@@ -249,7 +242,7 @@ int64_t HistRangesF64(const double* v, int64_t n, double lo, double hi,
     }
     if (!pass) continue;
     ++matched;
-    ++counts[BinOfScalar(v[i], b)];
+    ++counts[BinOf(v[i], b.lo, b.width, b.dbins, b.bins)];
   }
   return matched;
 }

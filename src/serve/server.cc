@@ -344,6 +344,16 @@ void QueryServer::RegisterMetrics() {
   hot_.morsel_queries = mreg_->RegisterCounter(
       "ideval_morsel_queries_total",
       "Histogram scans posted for idle workers to join");
+  if (Counter* c = mreg_->RegisterCounter(
+          "ideval_drag_groups_total",
+          "Histogram groups answered from the session's previous group")) {
+    drag_groups_ = c;
+  }
+  if (Counter* c = mreg_->RegisterCounter(
+          "ideval_drag_rows_swept_total",
+          "Rows the drag answers swept instead of scanning")) {
+    drag_rows_swept_ = c;
+  }
   gauges_.qif_qps = mreg_->RegisterGauge(
       "ideval_serve_qif_qps", "Offered load over the sliding window");
   gauges_.throughput_window_qps = mreg_->RegisterGauge(
@@ -473,6 +483,38 @@ void NotifyShed(PendingGroup* group, uint64_t session_id,
   group->on_complete(std::move(done));
   group->on_complete = nullptr;
 }
+
+/// Collects an executed group's exact histogram counts as its queries
+/// complete, so the group can become its session's drag base.
+class DragBaseBuilder {
+ public:
+  /// Notes one query's answer; null for a failed query.
+  void Add(const QueryResultData* data) {
+    const auto* h = data != nullptr ? std::get_if<FixedHistogram>(data)
+                                    : nullptr;
+    if (h == nullptr) {
+      histograms_ = false;
+    } else if (histograms_) {
+      counts_.emplace_back(h->counts().begin(), h->counts().end());
+    }
+  }
+
+  /// Makes `*queries` and the collected counts the new `*base` if every
+  /// answer was a histogram, and empties `*base` otherwise.
+  void Finish(std::vector<Query>* queries, HistogramGroupCounts* base) {
+    base->queries.clear();
+    base->counts.clear();
+    if (!histograms_) return;
+    for (Query& q : *queries) {
+      base->queries.push_back(std::move(std::get<HistogramQuery>(q)));
+    }
+    base->counts = std::move(counts_);
+  }
+
+ private:
+  bool histograms_ = true;
+  std::vector<std::vector<int64_t>> counts_;
+};
 
 }  // namespace
 
@@ -736,6 +778,17 @@ Result<QueryResponse> QueryServer::ExecuteUnsharded(const Query& query) {
   }
   post.partials.push_back(std::move(own));
   return engine_->MergeHistogram(*scan, post.partials);
+}
+
+std::optional<std::vector<QueryResponse>> QueryServer::AnswerDrag(
+    ServeSession* s, const std::vector<Query>& queries) {
+  auto answers = engine_->ExecuteHistogramDrag(s->drag_base(), queries);
+  if (answers.has_value()) {
+    drag_groups_->Increment();
+    // Each answer reports the group's one sweep.
+    drag_rows_swept_->Increment(answers->front().stats.tuples_scanned);
+  }
+  return answers;
 }
 
 bool QueryServer::HelpPostedScan(std::unique_lock<std::mutex>* lock) {
@@ -1266,27 +1319,49 @@ void QueryServer::WorkerLoop() {
       hits = prog.hits;
     } else if (result_cache_ != nullptr) {
       // Shared cache above either backend: one lookup per query; misses
-      // run the backend (single-flight) inside the cache.
-      for (const Query& query : group.queries) {
-        auto r = result_cache_->Execute(query, cache_backend_, group.trace,
-                                        group.trace.root_span_id);
+      // run the backend (single-flight) inside the cache. Over the
+      // unsharded backend a miss takes the session's drag answer when
+      // there is one: no scan and no morsel post.
+      const bool drag = sharded_ == nullptr;
+      std::optional<std::vector<QueryResponse>> answers;
+      if (drag) answers = AnswerDrag(s, group.queries);
+      DragBaseBuilder next;
+      size_t qi = 0;
+      const ResultCache::TracedBackend take_answer =
+          [&answers, &qi](const Query&, const TraceContext&, uint64_t) {
+            return Result<QueryResponse>(std::move((*answers)[qi]));
+          };
+      for (; qi < group.queries.size(); ++qi) {
+        auto r = result_cache_->Execute(
+            group.queries[qi], answers ? take_answer : cache_backend_,
+            group.trace, group.trace.root_span_id);
         if (r.ok()) {
           ++executed;
           if (r->outcome != CacheOutcome::kMiss) ++hits;
+          next.Add(&r->response.data);
           // Copy, not move: the cache retains its entry for later hits.
           if (capture) results.emplace_back(r->response.data);
         } else {
           ++failed;
+          next.Add(nullptr);
           if (capture) results.emplace_back(std::nullopt);
         }
       }
+      if (drag) next.Finish(&group.queries, &s->drag_base());
     } else if (sharded_ != nullptr) {
       sharded_out = ExecuteGroupSharded(group.queries, group.trace,
                                         capture ? &results : nullptr);
       executed = sharded_out.executed;
       failed = sharded_out.failed;
     } else {
-      for (const Query& query : group.queries) {
+      // Without a session cache the worker takes the session's drag
+      // answer when there is one.
+      const bool drag = s->cache() == nullptr;
+      std::optional<std::vector<QueryResponse>> answers;
+      if (drag) answers = AnswerDrag(s, group.queries);
+      DragBaseBuilder next;
+      for (size_t qi = 0; qi < group.queries.size(); ++qi) {
+        const Query& query = group.queries[qi];
         Span exec(group.trace, SpanKind::kExecute,
                   group.trace.root_span_id);
         if (s->cache() != nullptr) {
@@ -1303,18 +1378,22 @@ void QueryServer::WorkerLoop() {
             if (capture) results.emplace_back(std::nullopt);
           }
         } else {
-          auto r = ExecuteUnsharded(query);
+          auto r = answers ? Result<QueryResponse>(std::move((*answers)[qi]))
+                           : ExecuteUnsharded(query);
           if (r.ok()) {
             ++executed;
             exec.SetAttrs(r->stats.tuples_scanned, r->stats.blocks_scanned,
                           r->stats.blocks_pruned);
+            next.Add(&r->data);
             if (capture) results.emplace_back(std::move(r->data));
           } else {
             ++failed;
+            next.Add(nullptr);
             if (capture) results.emplace_back(std::nullopt);
           }
         }
       }
+      if (drag) next.Finish(&group.queries, &s->drag_base());
     }
     const SimTime finish = Now();
     metrics_.RecordGroupComplete(finish, finish - group.submit_time,
@@ -1515,6 +1594,8 @@ ServerStatsSnapshot QueryServer::Snapshot(bool with_attribution) {
       engine_ != nullptr ? engine_->kernel_isa() : sharded_->kernel_isa());
   snap.morsels_executed = morsels_executed_.load(std::memory_order_relaxed);
   snap.morsel_queries = morsel_queries_.load(std::memory_order_relaxed);
+  snap.drag_groups = drag_groups_->value();
+  snap.drag_rows_swept = drag_rows_swept_->value();
   if (result_cache_ != nullptr) {
     snap.result_cache_enabled = true;
     snap.result_cache = result_cache_->Stats();

@@ -430,6 +430,13 @@ class QueryServer {
   /// directly. Called outside every lock.
   Result<QueryResponse> ExecuteUnsharded(const Query& query);
 
+  /// The incremental answer to `queries` from session `s`'s drag base
+  /// (`Engine::ExecuteHistogramDrag`), counted in the drag counters, or
+  /// nullopt when it does not apply. Unsharded backends only. Called
+  /// outside every lock by the worker holding `s`'s busy flag.
+  std::optional<std::vector<QueryResponse>> AnswerDrag(
+      ServeSession* s, const std::vector<Query>& queries);
+
   /// A histogram scan posted on the board: lives on its owner's stack
   /// until the owner has unposted it and every helper has finished.
   struct PostedScan {
@@ -631,6 +638,14 @@ class QueryServer {
   /// Relaxed atomics read by `Snapshot` — no ordering against anything.
   std::atomic<int64_t> morsels_executed_{0};
   std::atomic<int64_t> morsel_queries_{0};
+
+  /// Groups answered by `AnswerDrag` and the rows their sweeps visited:
+  /// the registry's `ideval_drag_*_total` counters when metrics are on,
+  /// the server's own otherwise. One store each; `Snapshot` reads it.
+  Counter own_drag_groups_{"ideval_drag_groups_total"};
+  Counter own_drag_rows_swept_{"ideval_drag_rows_swept_total"};
+  Counter* drag_groups_ = &own_drag_groups_;
+  Counter* drag_rows_swept_ = &own_drag_rows_swept_;
 
   // --- Shard-executor pool (sharded servers only). ---
   std::mutex shard_mu_;

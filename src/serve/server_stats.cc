@@ -116,6 +116,10 @@ std::string ServerStatsSnapshot::ToText() const {
     global.AddCountRow("posted scans / helper morsels",
                        {morsel_queries, morsels_executed});
   }
+  if (drag_groups > 0) {
+    global.AddCountRow("drag answers / rows swept",
+                       {drag_groups, drag_rows_swept});
+  }
   global.AddRow({"policy (configured / effective)",
                  StrFormat("%s / %s",
                            AdmissionPolicyToString(configured_policy),

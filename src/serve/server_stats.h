@@ -175,6 +175,13 @@ struct ServerStatsSnapshot {
   int64_t morsels_executed = 0;
   int64_t morsel_queries = 0;
 
+  /// Incremental drag answers (docs/serve.md): groups answered from the
+  /// session's previous group plus the rows the moved bound swept, and
+  /// those rows. Read from the `ideval_drag_*_total` counters themselves,
+  /// so with a registry shared by several servers they are its totals.
+  int64_t drag_groups = 0;
+  int64_t drag_rows_swept = 0;
+
   /// Socket front-end counters (servers fronted by a `NetServer` only).
   bool net_enabled = false;
   NetStatsSnapshot net;

@@ -12,6 +12,7 @@
 
 #include "common/result.h"
 #include "common/sim_time.h"
+#include "engine/engine.h"
 #include "engine/query.h"
 #include "obs/trace.h"
 #include "opt/session_cache.h"
@@ -105,10 +106,11 @@ struct PendingGroup {
 /// window, LCV bookkeeping, counters, and an optional exact-match result
 /// cache (§2.4 session reuse).
 ///
-/// Thread safety: all fields except `cache` are guarded by the owning
-/// `QueryServer`'s lock. `cache` is touched only by the worker that holds
-/// this session's `busy` flag; the flag itself is flipped under the server
-/// lock, which establishes the necessary happens-before edges.
+/// Thread safety: all fields except `cache` and `drag_base` are guarded
+/// by the owning `QueryServer`'s lock. Those two are touched only by the
+/// worker that holds this session's `busy` flag; the flag itself is
+/// flipped under the server lock, which establishes the necessary
+/// happens-before edges.
 class ServeSession {
  public:
   ServeSession(uint64_t id, Duration qif_window);
@@ -166,6 +168,12 @@ class ServeSession {
     cache_ = std::move(cache);
   }
 
+  /// The last executed group, if all its queries were histograms, with
+  /// their exact counts: the base the next group's drag answer starts
+  /// from (`Engine::ExecuteHistogramDrag`, docs/serve.md). Empty after
+  /// any other group or a failed query.
+  HistogramGroupCounts& drag_base() { return drag_base_; }
+
  private:
   uint64_t id_;
   Duration qif_window_;
@@ -182,6 +190,7 @@ class ServeSession {
   int64_t queue_hwm_ = 0;
   SessionCounters counters_;
   std::unique_ptr<SessionCache> cache_;
+  HistogramGroupCounts drag_base_;
 };
 
 /// Hands out sessions with isolated queues and stable ids. Externally

@@ -274,6 +274,27 @@ TEST(FixedHistogramTest, BinningAndClamping) {
   EXPECT_DOUBLE_EQ(h->BinLowerEdge(2), 4.0);
 }
 
+TEST(FixedHistogramTest, NaNGoesToTheFirstBin) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  auto h = FixedHistogram::Make(0.0, 10.0, 5);
+  ASSERT_TRUE(h.ok());
+  h->Add(kNaN);
+  h->Add(7.0);  // bin 3
+  EXPECT_DOUBLE_EQ(h->count(0), 1.0);
+  EXPECT_DOUBLE_EQ(h->count(3), 1.0);
+  EXPECT_DOUBLE_EQ(h->total(), 2.0);
+  // Edges spanning every double make the bin width inf, so an infinite
+  // value's quotient is inf/inf = NaN: also the first bin.
+  constexpr double kMax = std::numeric_limits<double>::max();
+  auto wide = FixedHistogram::Make(-kMax, kMax, 4);
+  ASSERT_TRUE(wide.ok());
+  wide->Add(kInf);
+  wide->Add(-kInf);
+  EXPECT_DOUBLE_EQ(wide->count(0), 2.0);
+  EXPECT_DOUBLE_EQ(wide->total(), 2.0);
+}
+
 TEST(FixedHistogramTest, NormalizedSumsToOne) {
   auto h = FixedHistogram::Make(0.0, 1.0, 4);
   ASSERT_TRUE(h.ok());

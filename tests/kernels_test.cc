@@ -94,8 +94,8 @@ std::vector<double> AdversarialF64(Rng* rng, int64_t n, double lo,
   return v;
 }
 
-// Bin values for histogram kernels: finite or ±inf (NaN binning is UB by
-// contract, matching FixedHistogram::Add), weighted toward exact bin
+// Bin values for histogram kernels: finite, ±inf or NaN (which every
+// path bins to 0, like FixedHistogram::Add), weighted toward exact bin
 // edges `lo + k*width` and their nextafter neighbours — the values where
 // truncation after the exact division must land identically.
 std::vector<double> AdversarialBinF64(Rng* rng, int64_t n, double lo,
@@ -118,8 +118,10 @@ std::vector<double> AdversarialBinF64(Rng* rng, int64_t n, double lo,
       }
     } else if (roll < 0.95) {
       x = rng->Uniform(lo, hi);
-    } else {
+    } else if (roll < 0.98) {
       x = rng->Bernoulli(0.5) ? kInf : -kInf;
+    } else {
+      x = kNaN;
     }
   }
   return v;
@@ -176,6 +178,25 @@ TEST(KernelIsaTest, LevelsAreOrdered) {
   EXPECT_EQ(KernelIsaLevel(KernelIsa::kSse42), 1);
   EXPECT_EQ(KernelIsaLevel(KernelIsa::kAvx2), 2);
   EXPECT_EQ(KernelIsaLevel(KernelIsa::kAvx512), 3);
+}
+
+TEST(KernelIsaTest, NaNBinValuesLandInBinZero) {
+  // The bin contract (kernels.h `BinOf`): a NaN value counts in bin 0 on
+  // every table, in the vector loops and in their scalar tails.
+  std::vector<double> v(37, kNaN);
+  v[5] = 1.5;  // bin 1
+  const F64RangeClause all{v.data(), -kInf, kInf};
+  std::vector<const KernelOps*> tables = SimdTables();
+  tables.push_back(&kScalarOps);
+  for (const KernelOps* ops : tables) {
+    SCOPED_TRACE(KernelIsaToString(ops->isa));
+    std::vector<int64_t> counts(4, 0);
+    ops->hist_f64(v.data(), 37, 0.0, 4.0, 4, counts.data());
+    EXPECT_EQ(counts, (std::vector<int64_t>{36, 1, 0, 0}));
+    std::fill(counts.begin(), counts.end(), 0);
+    ops->hist_ranges_f64(v.data(), 37, 0.0, 4.0, 4, &all, 1, counts.data());
+    EXPECT_EQ(counts, (std::vector<int64_t>{36, 1, 0, 0}));
+  }
 }
 
 TEST(KernelIsaTest, DispatchResolvesAndFallsBack) {

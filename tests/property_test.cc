@@ -3,9 +3,12 @@
 /// where applicable.
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <thread>
 
@@ -404,10 +407,10 @@ TEST_P(ShardedOracleTest, HistogramMergesBitwiseEqual) {
 }
 
 /// A table for the morsel property: the binned column "a" trends upward
-/// (so zone maps prune whole blocks) and holds some ±inf; the filter
-/// column "c" holds NaN and ±inf. A NaN value passes every range conjunct;
-/// a NaN bin value is undefined (engine/kernels/kernels.h), so "a" has
-/// none.
+/// (so zone maps prune whole blocks) and holds some ±inf and NaN; the
+/// filter column "c" holds NaN and ±inf. A NaN value passes every range
+/// conjunct, and a NaN bin value lands in bin 0
+/// (engine/kernels/kernels.h).
 TablePtr MorselTable(Rng* rng, int64_t rows) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   Schema schema({{"a", DataType::kDouble},
@@ -419,6 +422,7 @@ TablePtr MorselTable(Rng* rng, int64_t rows) {
                             static_cast<double>(rows) +
                rng->Uniform(-5.0, 5.0);
     if (rng->Bernoulli(0.01)) a = rng->Bernoulli(0.5) ? kInf : -kInf;
+    if (rng->Bernoulli(0.01)) a = std::numeric_limits<double>::quiet_NaN();
     double c = rng->Uniform(-100.0, 100.0);
     const double special = rng->NextDouble();
     if (special < 0.03) c = std::numeric_limits<double>::quiet_NaN();
@@ -898,6 +902,381 @@ TEST_P(ProgressivePropertyTest, PrefixSamplingIsUnbiasedEnough) {
 
 INSTANTIATE_TEST_SUITE_P(RandomTables, ProgressivePropertyTest,
                          ::testing::Range(0, 8));
+
+// ------------------------ Incremental drag answers ------------------------
+
+/// `Engine::ExecuteHistogramDrag` (docs/serve.md): a group that differs
+/// from the previous one only in one range conjunct's bounds is answered
+/// from the previous group's exact counts plus the rows the bounds swept.
+/// Every answer must equal a scalar engine's `Execute` bit for bit, and it
+/// must answer exactly when one conjunct moved and the sweep is within
+/// the cutoff.
+class DragOracleTest : public ::testing::TestWithParam<int> {};
+
+constexpr double kDragInf = std::numeric_limits<double>::infinity();
+constexpr double kDragNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// f64 columns x, y, z drawn from 61 levels (many ties), with ±0.0, ±inf
+/// and NaN rows in each, plus an int64 column i.
+TablePtr DragTable(Rng* rng, int64_t rows) {
+  Schema schema({{"x", DataType::kDouble},
+                 {"y", DataType::kDouble},
+                 {"z", DataType::kDouble},
+                 {"i", DataType::kInt64}});
+  const auto value = [rng]() -> double {
+    const double roll = rng->NextDouble();
+    if (roll < 0.03) return kDragNaN;
+    if (roll < 0.05) return rng->Bernoulli(0.5) ? kDragInf : -kDragInf;
+    if (roll < 0.08) return rng->Bernoulli(0.5) ? 0.0 : -0.0;
+    return static_cast<double>(rng->UniformInt(-30, 30)) * 0.25;
+  };
+  TableBuilder builder("drag", schema);
+  for (int64_t r = 0; r < rows; ++r) {
+    const double x = value();
+    const double y = value();
+    const double z = value();
+    builder.MustAppendRow(
+        {Value(x), Value(y), Value(z), Value(rng->UniformInt(-9, 9))});
+  }
+  return std::move(builder).Finish().ValueOrDie();
+}
+
+/// The distinct non-NaN values of `column`, ascending.
+std::vector<double> Levels(const Table& table, const std::string& column) {
+  std::vector<double> v;
+  for (double x : (*table.ColumnByName(column))->double_data()) {
+    if (!std::isnan(x)) v.push_back(x);
+  }
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+  return v;
+}
+
+/// A new bound: usually a data value a few levels from `current`, else
+/// any data value, NaN, ±inf or a non-data value; a fifth of the time
+/// nudged one ulp either way.
+double PickBound(Rng* rng, const std::vector<double>& levels,
+                 double current) {
+  const double roll = rng->NextDouble();
+  double v;
+  if (roll < 0.6 && !std::isnan(current)) {
+    int64_t pos = std::lower_bound(levels.begin(), levels.end(), current) -
+                  levels.begin() + rng->UniformInt(-3, 3);
+    pos = std::clamp<int64_t>(pos, 0,
+                              static_cast<int64_t>(levels.size()) - 1);
+    v = levels[static_cast<size_t>(pos)];
+  } else if (roll < 0.75) {
+    v = levels[static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(levels.size()) - 1))];
+  } else if (roll < 0.8) {
+    v = kDragNaN;
+  } else if (roll < 0.9) {
+    v = rng->Bernoulli(0.5) ? kDragInf : -kDragInf;
+  } else {
+    v = rng->Uniform(-10.0, 10.0);
+  }
+  const double ulp = rng->NextDouble();
+  if (ulp < 0.1) return std::nextafter(v, kDragInf);
+  if (ulp < 0.2) return std::nextafter(v, -kDragInf);
+  return v;
+}
+
+/// Moves one conjunct: a bound or two, or to the full domain, an empty
+/// range, or with its bounds swapped (lo > hi).
+RangePredicate MoveRange(Rng* rng, const std::vector<double>& levels,
+                         RangePredicate r) {
+  const double shape = rng->NextDouble();
+  if (shape < 0.05) {
+    r.lo = -kDragInf;
+    r.hi = kDragInf;
+  } else if (shape < 0.1) {
+    r.lo = levels[levels.size() / 2];
+    r.hi = std::nextafter(r.lo, -kDragInf);
+  } else if (shape < 0.15) {
+    std::swap(r.lo, r.hi);
+  } else {
+    if (rng->Bernoulli(0.5)) {
+      r.lo = PickBound(rng, levels, r.lo);
+    } else {
+      r.hi = PickBound(rng, levels, r.hi);
+    }
+    if (rng->Bernoulli(0.1)) r.hi = PickBound(rng, levels, r.hi);
+  }
+  return r;
+}
+
+bool RangePasses(double v, const RangePredicate& r) {
+  return !(v < r.lo) && !(v > r.hi);
+}
+
+uint64_t Bits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+/// A group of histograms sharing `preds`: bin columns y and z, and x
+/// half the time; bin edges sometimes span the whole f64 range, so the
+/// bin width is inf and an inf value's quotient is NaN.
+std::vector<Query> DragGroup(Rng* rng, const std::vector<Predicate>& preds) {
+  std::vector<Query> group;
+  std::vector<std::string> bins = {"y", "z"};
+  if (rng->Bernoulli(0.5)) bins.push_back("x");
+  for (const std::string& column : bins) {
+    HistogramQuery q;
+    q.table = "drag";
+    q.bin_column = column;
+    if (rng->Bernoulli(0.1)) {
+      q.bin_lo = -std::numeric_limits<double>::max();
+      q.bin_hi = std::numeric_limits<double>::max();
+    } else {
+      q.bin_lo = rng->Uniform(-9.0, 0.0);
+      q.bin_hi = q.bin_lo + rng->Uniform(0.5, 15.0);
+    }
+    q.bins = rng->UniformInt(1, 30);
+    q.predicates = preds;
+    group.push_back(q);
+  }
+  return group;
+}
+
+/// Executes `group` on `engine` into a drag base.
+HistogramGroupCounts BaseOf(const Engine& engine,
+                            const std::vector<Query>& group) {
+  HistogramGroupCounts base;
+  for (const Query& q : group) {
+    auto r = engine.Execute(q);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return base;
+    const auto& h = std::get<FixedHistogram>(r->data);
+    base.queries.push_back(std::get<HistogramQuery>(q));
+    base.counts.emplace_back(h.counts().begin(), h.counts().end());
+  }
+  return base;
+}
+
+/// Every answer of `got` equals `engine`'s `Execute` of `group`, bit for
+/// bit (edges, counts and total).
+void ExpectScalarAnswers(const Engine& engine, const std::vector<Query>& group,
+                         const std::vector<QueryResponse>& got) {
+  ASSERT_EQ(got.size(), group.size());
+  for (size_t i = 0; i < group.size(); ++i) {
+    auto ref = engine.Execute(group[i]);
+    ASSERT_TRUE(ref.ok());
+    const auto& want = std::get<FixedHistogram>(ref->data);
+    const auto& have = std::get<FixedHistogram>(got[i].data);
+    ASSERT_EQ(have.num_bins(), want.num_bins());
+    EXPECT_EQ(Bits(have.lo()), Bits(want.lo()));
+    EXPECT_EQ(Bits(have.hi()), Bits(want.hi()));
+    EXPECT_EQ(Bits(have.total()), Bits(want.total()));
+    for (size_t b = 0; b < want.num_bins(); ++b) {
+      EXPECT_EQ(Bits(have.count(b)), Bits(want.count(b)))
+          << QueryToString(group[i]) << " bin " << b;
+    }
+  }
+}
+
+std::unique_ptr<Engine> ScalarEngine(const TablePtr& table) {
+  EngineOptions opts;
+  opts.kernel_isa = KernelIsa::kScalar;
+  auto engine = std::make_unique<Engine>(opts);
+  EXPECT_TRUE(engine->RegisterTable(table).ok());
+  return engine;
+}
+
+TEST_P(DragOracleTest, MoveChainsMatchScalarEngine) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 3);
+  const int64_t rows = rng.UniformInt(40, 3000);
+  TablePtr table = DragTable(&rng, rows);
+  Engine engine(EngineOptions{});
+  ASSERT_TRUE(engine.RegisterTable(table).ok());
+  const auto scalar = ScalarEngine(table);
+  const std::vector<std::string> columns = {"x", "y", "z"};
+  std::map<std::string, std::vector<double>> levels;
+  for (const std::string& c : columns) levels[c] = Levels(*table, c);
+
+  std::vector<Predicate> preds;
+  for (const std::string& c : columns) {
+    preds.push_back(RangePredicate{c, -kDragInf, kDragInf});
+  }
+  const std::vector<Query> shape = DragGroup(&rng, preds);
+  HistogramGroupCounts base = BaseOf(*scalar, shape);
+  int answered = 0;
+  int refused = 0;
+  size_t k = 0;  // The moving conjunct; switches now and then.
+  for (int step = 0; step < 60; ++step) {
+    if (rng.Bernoulli(0.1)) k = static_cast<size_t>(rng.UniformInt(0, 2));
+    const auto& before = std::get<RangePredicate>(preds[k]);
+    const RangePredicate after =
+        MoveRange(&rng, levels[columns[k]], before);
+    // The rows whose side of the moved conjunct changed; NaN rows pass
+    // both sides.
+    const std::vector<double>& v =
+        (*table->ColumnByName(columns[k]))->double_data();
+    int64_t swept = 0;
+    for (double x : v) {
+      swept += !std::isnan(x) && RangePasses(x, before) != RangePasses(x, after);
+    }
+    const bool moved = Bits(before.lo) != Bits(after.lo) ||
+                       Bits(before.hi) != Bits(after.hi);
+    preds[k] = after;
+    std::vector<Query> group = shape;
+    for (Query& q : group) std::get<HistogramQuery>(q).predicates = preds;
+
+    auto got = engine.ExecuteHistogramDrag(base, group);
+    const bool expect = moved && swept <= rows / kDragSweepDivisor;
+    ASSERT_EQ(got.has_value(), expect)
+        << "step " << step << " swept " << swept << " of " << rows << ": "
+        << QueryToString(group[0]);
+    if (got.has_value()) {
+      ++answered;
+      ExpectScalarAnswers(*scalar, group, *got);
+      EXPECT_EQ((*got)[0].stats.tuples_scanned, swept);
+    } else {
+      ++refused;
+    }
+    base = BaseOf(*scalar, group);
+  }
+  EXPECT_GT(answered, 0);
+  EXPECT_GT(refused, 0);
+}
+
+TEST_P(DragOracleTest, RefusesWhatItCannotAnswer) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 104729 + 11);
+  const int64_t rows = 2000;
+  TablePtr table = DragTable(&rng, rows);
+  Engine engine(EngineOptions{});
+  ASSERT_TRUE(engine.RegisterTable(table).ok());
+  const std::vector<Predicate> start = {
+      RangePredicate{"x", -1.0, 1.0}, RangePredicate{"y", -kDragInf, kDragInf},
+      RangePredicate{"z", -2.0, 2.0}};
+  const std::vector<Query> group = DragGroup(&rng, start);
+  const HistogramGroupCounts base = BaseOf(engine, group);
+  const auto with = [&](std::vector<Predicate> preds) {
+    std::vector<Query> g = group;
+    for (Query& q : g) std::get<HistogramQuery>(q).predicates = preds;
+    return g;
+  };
+  // The answerable move these refusals start from: x's lo by one level.
+  std::vector<Predicate> one = start;
+  std::get<RangePredicate>(one[0]).lo = -0.75;
+  auto ok = engine.ExecuteHistogramDrag(base, with(one));
+  ASSERT_TRUE(ok.has_value());
+  ExpectScalarAnswers(*ScalarEngine(table), with(one), *ok);
+
+  // Nothing moved, or two conjuncts moved.
+  EXPECT_FALSE(engine.ExecuteHistogramDrag(base, group).has_value());
+  std::vector<Predicate> two = one;
+  std::get<RangePredicate>(two[2]).hi = 2.25;
+  EXPECT_FALSE(engine.ExecuteHistogramDrag(base, with(two)).has_value());
+  // A bound that differs only in its sign bit is a move; the sweep is
+  // empty and the answer the base's.
+  std::vector<Predicate> signed_zero = start;
+  std::get<RangePredicate>(signed_zero[1]).lo = 0.0;
+  std::vector<Predicate> signed_zero2 = signed_zero;
+  std::get<RangePredicate>(signed_zero2[1]).lo = -0.0;
+  const HistogramGroupCounts zero_base = BaseOf(engine, with(signed_zero));
+  auto zero = engine.ExecuteHistogramDrag(zero_base, with(signed_zero2));
+  ASSERT_TRUE(zero.has_value());
+  EXPECT_EQ((*zero)[0].stats.tuples_scanned, 0);
+
+  // A changed bin spec: bins, an edge's bits, the column, the order.
+  for (int change = 0; change < 4; ++change) {
+    std::vector<Query> g = with(one);
+    auto& q0 = std::get<HistogramQuery>(g[0]);
+    if (change == 0) q0.bins += 1;
+    if (change == 1) q0.bin_lo = std::nextafter(q0.bin_lo, kDragInf);
+    if (change == 2) q0.bin_column = "x";
+    if (change == 3) std::swap(g[0], g[1]);
+    EXPECT_FALSE(engine.ExecuteHistogramDrag(base, g).has_value()) << change;
+  }
+  // A group of another size, a non-histogram query, a different table.
+  std::vector<Query> shorter = with(one);
+  shorter.pop_back();
+  EXPECT_FALSE(engine.ExecuteHistogramDrag(base, shorter).has_value());
+  std::vector<Query> mixed = with(one);
+  SelectQuery select;
+  select.table = "drag";
+  mixed.back() = select;
+  EXPECT_FALSE(engine.ExecuteHistogramDrag(base, mixed).has_value());
+
+  // An int64 conjunct or an int64 bin column.
+  std::vector<Predicate> with_int = start;
+  with_int.push_back(RangePredicate{"i", -3.0, 3.0});
+  std::vector<Predicate> with_int_moved = with_int;
+  std::get<RangePredicate>(with_int_moved[0]).lo = -0.75;
+  EXPECT_FALSE(engine
+                   .ExecuteHistogramDrag(BaseOf(engine, with(with_int)),
+                                         with(with_int_moved))
+                   .has_value());
+  std::vector<Query> int_bins = group;
+  std::get<HistogramQuery>(int_bins[0]).bin_column = "i";
+  std::vector<Query> int_bins_moved = int_bins;
+  for (Query& q : int_bins_moved) std::get<HistogramQuery>(q).predicates = one;
+  EXPECT_FALSE(engine
+                   .ExecuteHistogramDrag(BaseOf(engine, int_bins),
+                                         int_bins_moved)
+                   .has_value());
+
+  // A sweep over the cutoff: x from [-1, 1] to the full domain.
+  std::vector<Predicate> wide = start;
+  std::get<RangePredicate>(wide[0]) = RangePredicate{"x", -kDragInf, kDragInf};
+  EXPECT_FALSE(engine.ExecuteHistogramDrag(base, with(wide)).has_value());
+
+  // The disk profile.
+  EngineOptions disk_opts;
+  disk_opts.profile = EngineProfile::kDiskRowStore;
+  Engine disk(disk_opts);
+  ASSERT_TRUE(disk.RegisterTable(table).ok());
+  EXPECT_FALSE(disk.ExecuteHistogramDrag(base, with(one)).has_value());
+}
+
+TEST_P(DragOracleTest, ConcurrentFirstUseSharesOneSortedOrder) {
+  // Four threads answer drags over one column at once, so the first use
+  // of its sorted order races: each must wait for the one build and
+  // answer exactly.
+  Rng rng(static_cast<uint64_t>(GetParam()) * 3571 + 5);
+  TablePtr table = DragTable(&rng, rng.UniformInt(500, 4000));
+  Engine engine(EngineOptions{});
+  ASSERT_TRUE(engine.RegisterTable(table).ok());
+  const auto scalar = ScalarEngine(table);
+  const std::vector<Predicate> start = {
+      RangePredicate{"x", -2.0, 2.0}, RangePredicate{"y", -4.0, 5.0},
+      RangePredicate{"z", -kDragInf, kDragInf}};
+  const std::vector<Query> group = DragGroup(&rng, start);
+  const HistogramGroupCounts base = BaseOf(*scalar, group);
+  constexpr int kThreads = 4;
+  std::vector<std::vector<Query>> moves(kThreads, group);
+  for (int t = 0; t < kThreads; ++t) {
+    for (Query& q : moves[static_cast<size_t>(t)]) {
+      std::get<RangePredicate>(std::get<HistogramQuery>(q).predicates[0])
+          .hi = 2.0 + 0.25 * (t % 2);
+      std::get<RangePredicate>(std::get<HistogramQuery>(q).predicates[0])
+          .lo = -2.0 - 0.25 * (t / 2) - 0.25 * (t % 2 == 0);
+    }
+  }
+  std::atomic<int> ready{0};
+  std::vector<std::optional<std::vector<QueryResponse>>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      got[static_cast<size_t>(t)] =
+          engine.ExecuteHistogramDrag(base, moves[static_cast<size_t>(t)]);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(got[static_cast<size_t>(t)].has_value()) << t;
+    ExpectScalarAnswers(*scalar, moves[static_cast<size_t>(t)],
+                        *got[static_cast<size_t>(t)]);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomTables, DragOracleTest,
+                         ::testing::Range(0, 12));
 
 }  // namespace
 }  // namespace ideval

@@ -32,10 +32,10 @@ export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1"
 "${build_dir}/tests/obs_test" --gtest_brief=1
 "${build_dir}/tests/sim_test" --gtest_brief=1
 "${build_dir}/tests/engine_test" --gtest_brief=1
-# Property tests exercise the cache, zone-map, and morsel paths against
-# oracles.
+# Property tests exercise the cache, zone-map, morsel and drag-answer
+# paths against oracles.
 "${build_dir}/tests/property_test" --gtest_brief=1 \
-  --gtest_filter='*ZoneMap*:*ResultCache*:*Morsel*'
+  --gtest_filter='*ZoneMap*:*ResultCache*:*Morsel*:*Drag*'
 # The SIMD kernels do unaligned loads via the memcpy idiom and write
 # per-lane sub-histogram scratch; ASan checks every tail length the
 # property sweep generates.

@@ -9,9 +9,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "serve/admission.h"
 #include "serve/load_driver.h"
 #include "serve/server.h"
+#include "widget/crossfilter.h"
 
 namespace ideval {
 namespace {
@@ -369,18 +371,13 @@ TEST_F(ServeTest, SharedCacheWorksOverShardedBackend) {
   EXPECT_DOUBLE_EQ(hist.total(), static_cast<double>(rows));
 }
 
-/// The elastic-morsel rig: a 100,000-row table cut into 13 morsels of
-/// 8 x 1,024 rows, a served engine over it and a scalar engine over the
-/// same table as the oracle, plus every completion the tests capture.
-class MorselRig {
+/// A served engine over one table and a scalar engine over the same
+/// table as the oracle, plus every completion the tests capture.
+class ScalarOracleRig {
  public:
-  static constexpr int64_t kRows = 100000;
-
-  MorselRig() {
-    EngineOptions eopts;
-    eopts.zone_map_block_rows = 1024;
-    engine_ = std::make_unique<Engine>(eopts);
-    TablePtr table = MakeServeTable(kRows);
+  ScalarOracleRig(const TablePtr& table, const EngineOptions& served)
+      : table_(table) {
+    engine_ = std::make_unique<Engine>(served);
     EXPECT_TRUE(engine_->RegisterTable(table).ok());
     EngineOptions scalar_opts;
     scalar_opts.kernel_isa = KernelIsa::kScalar;
@@ -388,28 +385,16 @@ class MorselRig {
     EXPECT_TRUE(scalar_->RegisterTable(table).ok());
   }
 
+  const TablePtr& table() const { return table_; }
+
   std::unique_ptr<QueryServer> MakeServer(const ServerOptions& opts) {
     auto server = QueryServer::Create(engine_.get(), opts);
     EXPECT_TRUE(server.ok()) << server.status().ToString();
     return std::move(server).ValueOrDie();
   }
 
-  /// Group `i`: two filtered histograms no other group repeats, so every
-  /// query misses the shared cache.
-  static std::vector<Query> Group(int i) {
-    std::vector<Query> group;
-    for (int k = 0; k < 2; ++k) {
-      HistogramQuery q = std::get<HistogramQuery>(HistQuery(kRows, 7 + k));
-      q.bin_hi += static_cast<double>(i);
-      q.predicates = {RangePredicate{"v", 10.0 * i, kRows * 0.9 + k}};
-      group.push_back(q);
-    }
-    return group;
-  }
-
-  /// Submits group `i` with result capture.
-  void Submit(QueryServer* server, uint64_t sid, int i) {
-    std::vector<Query> group = Group(i);
+  /// Submits `group` with result capture.
+  void Submit(QueryServer* server, uint64_t sid, std::vector<Query> group) {
     auto out = server->Submit(sid, group,
                               [this, group](GroupCompletion&& c) {
                                 std::lock_guard<std::mutex> lock(mu_);
@@ -435,10 +420,45 @@ class MorselRig {
   }
 
  private:
+  TablePtr table_;
   std::unique_ptr<Engine> engine_;
   std::unique_ptr<Engine> scalar_;
   std::mutex mu_;
   std::vector<std::pair<std::vector<Query>, GroupCompletion>> done_;
+};
+
+/// The elastic-morsel rig: a 100,000-row table cut into 13 morsels of
+/// 8 x 1,024 rows.
+class MorselRig : public ScalarOracleRig {
+ public:
+  static constexpr int64_t kRows = 100000;
+
+  MorselRig() : ScalarOracleRig(MakeServeTable(kRows), Options()) {}
+
+  /// Group `i`: two filtered histograms no other group repeats, so every
+  /// query misses the shared cache.
+  static std::vector<Query> Group(int i) {
+    std::vector<Query> group;
+    for (int k = 0; k < 2; ++k) {
+      HistogramQuery q = std::get<HistogramQuery>(HistQuery(kRows, 7 + k));
+      q.bin_hi += static_cast<double>(i);
+      q.predicates = {RangePredicate{"v", 10.0 * i, kRows * 0.9 + k}};
+      group.push_back(q);
+    }
+    return group;
+  }
+
+  /// Submits group `i` with result capture.
+  void Submit(QueryServer* server, uint64_t sid, int i) {
+    ScalarOracleRig::Submit(server, sid, Group(i));
+  }
+
+ private:
+  static EngineOptions Options() {
+    EngineOptions eopts;
+    eopts.zone_map_block_rows = 1024;
+    return eopts;
+  }
 };
 
 TEST_F(ServeTest, MorselExecutionServesIdenticalHistograms) {
@@ -516,6 +536,146 @@ TEST_F(ServeTest, StopReturnsWithMorselScanInFlight) {
     std::this_thread::yield();
   }
   server->Stop();
+  rig.ExpectScalarAnswers();
+}
+
+/// The incremental-drag rig (docs/serve.md): a crossfilter view over a
+/// 20,000-row table of three f64 columns (z in 0.1 steps, so many ties).
+class DragRig : public ScalarOracleRig {
+ public:
+  static constexpr int64_t kRows = 20000;
+
+  DragRig() : ScalarOracleRig(Table(), EngineOptions{}) {}
+
+  /// A drag stream: `runs` runs of `moves` slider events, each run on the
+  /// next slider, each event pulling the upper handle in by 1% of the
+  /// domain. With `two_sliders`, every group follows one event on its
+  /// slider and one on the slider after it, so consecutive groups differ
+  /// in two conjuncts.
+  std::vector<std::vector<Query>> Stream(int runs, int moves,
+                                         bool two_sliders) const {
+    auto view = CrossfilterView::Make(table(), {"x", "y", "z"}, 20);
+    EXPECT_TRUE(view.ok());
+    std::vector<std::vector<Query>> groups;
+    std::vector<int> steps(3, 0);
+    const auto move = [&](int slider) {
+      const RangeSlider& r = view->slider(static_cast<size_t>(slider));
+      const double span = r.domain_hi() - r.domain_lo();
+      ++steps[static_cast<size_t>(slider)];
+      SliderEvent e;
+      e.slider_index = slider;
+      e.min_val = r.domain_lo() + 0.05 * span;
+      e.max_val =
+          r.domain_hi() - 0.01 * span * steps[static_cast<size_t>(slider)];
+      auto g = view->ApplySliderEvent(e);
+      EXPECT_TRUE(g.ok());
+      return g->queries;
+    };
+    for (int run = 0; run < runs; ++run) {
+      const int slider = run % 3;
+      for (int m = 0; m < moves; ++m) {
+        if (two_sliders) move((slider + 1) % 3);
+        groups.push_back(move(slider));
+      }
+    }
+    return groups;
+  }
+
+ private:
+  static TablePtr Table() {
+    Schema schema({{"x", DataType::kDouble},
+                   {"y", DataType::kDouble},
+                   {"z", DataType::kDouble}});
+    TableBuilder b("road", schema);
+    Rng rng(26);
+    for (int64_t i = 0; i < kRows; ++i) {
+      b.MustAppendRow({Value(rng.Uniform(0.0, 100.0)),
+                       Value(rng.Uniform(-50.0, 50.0)),
+                       Value(static_cast<double>(rng.UniformInt(0, 999)) *
+                             0.1)});
+    }
+    return std::move(b).Finish().ValueOrDie();
+  }
+};
+
+TEST_F(ServeTest, DragAnswersServeExactHistogramsOnBothUnshardedPaths) {
+  // One session drags three sliders in turn. The first group of each run
+  // (and the first ever) scans; every later one moves the run's slider
+  // by 1% and is answered from the group before it, through the shared
+  // cache's miss path and through the cacheless path.
+  DragRig rig;
+  constexpr int kRuns = 4;
+  constexpr int kMoves = 6;
+  const auto stream = rig.Stream(kRuns, kMoves, /*two_sliders=*/false);
+  for (bool shared_cache : {false, true}) {
+    SCOPED_TRACE(shared_cache ? "shared cache" : "cacheless");
+    MetricsRegistry registry;
+    ServerOptions opts;
+    opts.num_workers = 2;
+    opts.enable_shared_cache = shared_cache;
+    opts.enable_metrics = true;
+    opts.metrics_registry = &registry;
+    auto server = rig.MakeServer(opts);
+    const uint64_t sid = server->OpenSession();
+    for (const auto& group : stream) {
+      rig.Submit(server.get(), sid, group);
+      server->Drain();
+    }
+    auto snap = server->Snapshot();
+    server->Stop();
+    ExpectReconciles(snap);
+    EXPECT_EQ(snap.totals.groups_executed,
+              static_cast<int64_t>(stream.size()));
+    EXPECT_EQ(snap.totals.queries_failed, 0);
+    EXPECT_EQ(snap.drag_groups, kRuns * (kMoves - 1));
+    EXPECT_GT(snap.drag_rows_swept, 0);
+    EXPECT_LE(snap.drag_rows_swept,
+              snap.drag_groups * DragRig::kRows / kDragSweepDivisor);
+    const Counter* drag = registry.FindCounter("ideval_drag_groups_total");
+    ASSERT_NE(drag, nullptr);
+    EXPECT_EQ(drag->value(), snap.drag_groups);
+    rig.ExpectScalarAnswers();
+  }
+}
+
+TEST_F(ServeTest, DragAnswersNeedOneMovedSliderAndOneEngine) {
+  DragRig rig;
+  // Consecutive groups that move two sliders are never drag answers.
+  const auto two = rig.Stream(2, 6, /*two_sliders=*/true);
+  for (bool shared_cache : {false, true}) {
+    ServerOptions opts;
+    opts.enable_shared_cache = shared_cache;
+    auto server = rig.MakeServer(opts);
+    const uint64_t sid = server->OpenSession();
+    for (const auto& group : two) {
+      rig.Submit(server.get(), sid, group);
+      server->Drain();
+    }
+    auto snap = server->Snapshot();
+    server->Stop();
+    EXPECT_EQ(snap.totals.queries_failed, 0);
+    EXPECT_EQ(snap.drag_groups, 0);
+    rig.ExpectScalarAnswers();
+  }
+  // Nor are a sharded server's, on the drag stream itself.
+  ShardedEngineOptions shopts;
+  shopts.num_shards = 2;
+  auto sharded = ShardedEngine::Create(shopts).ValueOrDie();
+  ASSERT_TRUE(sharded->PartitionTable(rig.table()).ok());
+  ServerOptions opts;
+  opts.enable_shared_cache = true;
+  auto made = QueryServer::Create(sharded.get(), opts);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  auto server = std::move(made).ValueOrDie();
+  const uint64_t sid = server->OpenSession();
+  for (const auto& group : rig.Stream(2, 6, /*two_sliders=*/false)) {
+    rig.Submit(server.get(), sid, group);
+    server->Drain();
+  }
+  auto snap = server->Snapshot();
+  server->Stop();
+  EXPECT_EQ(snap.totals.queries_failed, 0);
+  EXPECT_EQ(snap.drag_groups, 0);
   rig.ExpectScalarAnswers();
 }
 
