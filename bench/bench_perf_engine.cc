@@ -344,67 +344,6 @@ void BM_ZoneMapHistogram(benchmark::State& state) {
 }
 BENCHMARK(BM_ZoneMapHistogram)->Arg(0)->Arg(1);
 
-void BM_ProgressiveHistogram(benchmark::State& state) {
-  // Deadline-bounded histogram (docs/progressive.md): the arg is the
-  // budget in microseconds (0 = unbounded, which must match the exact
-  // path bitwise). Counters report the mean fraction of rows resolved
-  // and the mean relative error of the approximate bins vs the exact
-  // answer — tighter budgets trade error for bounded latency.
-  Engine* engine = SharedEngine(EngineProfile::kInMemoryColumnStore);
-  HistogramQuery q;
-  q.table = "dataroad";
-  q.bin_column = "y";
-  q.bin_lo = 56.582;
-  q.bin_hi = 57.774;
-  q.bins = 20;
-  q.predicates = {RangePredicate{"x", 8.146, 10.0},
-                  RangePredicate{"z", -8.608, 100.0}};
-  auto exact = engine->Execute(Query(q));
-  if (!exact.ok()) {
-    state.SkipWithError(exact.status().ToString().c_str());
-    return;
-  }
-  const auto& exact_hist = std::get<FixedHistogram>(exact->data);
-  const int64_t budget_us = state.range(0);
-  double fraction_sum = 0.0;
-  double rel_err_sum = 0.0;
-  int64_t runs = 0;
-  uint64_t seed = 0;
-  for (auto _ : state) {
-    ProgressiveDeadlineOptions popts;
-    if (budget_us > 0) {
-      popts.deadline = std::chrono::steady_clock::now() +
-                       std::chrono::microseconds(budget_us);
-    }
-    popts.seed = seed++;
-    auto r = engine->ExecuteHistogramProgressive(q, popts);
-    if (!r.ok()) {
-      state.SkipWithError(r.status().ToString().c_str());
-      break;
-    }
-    double err = 0.0;
-    double mass = 0.0;
-    for (size_t b = 0; b < exact_hist.num_bins(); ++b) {
-      err += std::abs(r->histogram.counts()[b] - exact_hist.counts()[b]);
-      mass += exact_hist.counts()[b];
-    }
-    rel_err_sum += mass > 0.0 ? err / mass : 0.0;
-    fraction_sum += r->fraction_rows;
-    ++runs;
-    benchmark::DoNotOptimize(r);
-  }
-  if (runs > 0) {
-    state.counters["rows_frac%"] = benchmark::Counter(
-        100.0 * fraction_sum / static_cast<double>(runs));
-    state.counters["rel_err%"] = benchmark::Counter(
-        100.0 * rel_err_sum / static_cast<double>(runs));
-  }
-  state.SetLabel(budget_us > 0 ? StrFormat("%lldus",
-                                           static_cast<long long>(budget_us))
-                               : "unbounded");
-}
-BENCHMARK(BM_ProgressiveHistogram)->Arg(100)->Arg(500)->Arg(0);
-
 /// Runs the three representative operator queries a few times each under a
 /// standalone `TraceBuffer`, one trace per query with a `kExecute` span
 /// carrying the engine's work stats, and exports the timeline. The same

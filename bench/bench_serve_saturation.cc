@@ -28,9 +28,6 @@
 /// `--cache 1` turns the shared result cache on for every sweep;
 /// `--zone_maps 1` turns engine zone-map pruning on for every sweep;
 /// `--net 1` adds the loopback-vs-in-process comparison sweep;
-/// `--progressive 1` adds the deadline-bounded progressive-serving sweep
-/// (LCV vs the exact baseline at the same offered load, plus the
-/// engine-level deadline/error trade-off — docs/progressive.md);
 /// `--smoke 1` runs one tiny configuration of each sweep (the ctest
 /// `perf_smoke` mode); `--trace_out=FILE` additionally runs one traced
 /// configuration (2 shards + shared cache + per-query tracing + slow-query
@@ -57,7 +54,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <thread>
@@ -148,13 +144,6 @@ struct BenchConfig {
   /// overdriven `--json_out` breach run — the black box as a file, no
   /// HTTP endpoint needed. Empty = skip.
   std::string flight_out;
-  /// Adds the deadline-bounded progressive sweep (docs/progressive.md).
-  bool progressive = false;
-  /// When > 0, every MustRun point serves progressively with this fixed
-  /// deadline budget (ms); 0 with `progressive_serve` derives budgets
-  /// from session inter-arrivals.
-  bool progressive_serve = false;
-  double deadline_ms = 0.0;
   std::string trace_out;  ///< Empty = skip the traced run.
   std::string json_out;   ///< Empty = skip the BENCH_serve.json export.
 
@@ -204,8 +193,6 @@ RunResult MustRun(const BenchConfig& cfg, const TablePtr& road, int workers,
   sopts.max_queue_per_session = 4;
   sopts.policy = policy;
   sopts.enable_shared_cache = cfg.cache;
-  sopts.enable_progressive = cfg.progressive_serve;
-  sopts.progressive_deadline_ms = cfg.deadline_ms;
   // Scale the §3.1.2 shaper to compressed time so it bites the same
   // fraction of interactions it would live.
   sopts.throttle_min_interval = Duration::Seconds(1.0 / kCompression);
@@ -563,138 +550,6 @@ void RunCacheSweep(const BenchConfig& cfg, const TablePtr& road) {
       "(the knee) rises because the service-time EWMA shrinks on hits\n\n");
 }
 
-/// One engine-level deadline sweep point: mean over `reps` seeded runs.
-struct DeadlinePoint {
-  int64_t budget_us = 0;  ///< 0 = unbounded (exact).
-  double rows_fraction = 0.0;
-  double mean_rel_error = 0.0;
-  double passes = 0.0;
-};
-
-/// Sweeps `ExecuteHistogramProgressive` deadline budgets directly against
-/// the engine (no server, so the exact answer is available for the error
-/// side of the trade-off). Relative error is sum |approx - exact| over
-/// the exact total count.
-std::vector<DeadlinePoint> EngineDeadlineSweep(
-    const BenchConfig& cfg, const TablePtr& road,
-    const std::vector<int64_t>& budgets_us, int reps) {
-  EngineOptions eopts;
-  eopts.profile = EngineProfile::kInMemoryColumnStore;
-  eopts.enable_zone_maps = cfg.zone_maps;
-  eopts.kernel_isa = cfg.kernels;
-  Engine engine(eopts);
-  if (!engine.RegisterTable(road).ok()) std::abort();
-
-  HistogramQuery q;
-  q.table = road->name();
-  q.bin_column = "y";
-  q.bin_lo = 56.582;
-  q.bin_hi = 57.774;
-  q.bins = 20;
-  q.predicates = {RangePredicate{"x", 8.146, 10.0},
-                  RangePredicate{"z", -8.608, 100.0}};
-  auto exact = engine.Execute(Query(q));
-  if (!exact.ok()) std::abort();
-  const auto& exact_hist = std::get<FixedHistogram>(exact->data);
-  double exact_mass = 0.0;
-  for (double c : exact_hist.counts()) exact_mass += c;
-
-  std::vector<DeadlinePoint> out;
-  for (int64_t budget_us : budgets_us) {
-    DeadlinePoint point;
-    point.budget_us = budget_us;
-    for (int rep = 0; rep < reps; ++rep) {
-      ProgressiveDeadlineOptions popts;
-      if (budget_us > 0) {
-        popts.deadline = std::chrono::steady_clock::now() +
-                         std::chrono::microseconds(budget_us);
-      }
-      popts.seed = static_cast<uint64_t>(rep);
-      auto r = engine.ExecuteHistogramProgressive(q, popts);
-      if (!r.ok()) std::abort();
-      double err = 0.0;
-      for (size_t b = 0; b < exact_hist.num_bins(); ++b) {
-        err += std::abs(r->histogram.counts()[b] - exact_hist.counts()[b]);
-      }
-      point.mean_rel_error += exact_mass > 0.0 ? err / exact_mass : 0.0;
-      point.rows_fraction += r->fraction_rows;
-      point.passes += static_cast<double>(r->passes);
-    }
-    point.mean_rel_error /= reps;
-    point.rows_fraction /= reps;
-    point.passes /= reps;
-    out.push_back(point);
-  }
-  return out;
-}
-
-/// Deadline-bounded progressive serving against the FIFO baseline at the
-/// same offered load (same seeds, same clients): the LCV fraction should
-/// drop — deadline expiry converts queue-inflating exact scans into
-/// bounded approximate completions — while the engine-level sweep prints
-/// what that bound costs in relative error.
-void RunProgressiveSweep(const BenchConfig& cfg, const TablePtr& road) {
-  const int clients = cfg.smoke ? 4 : 12;
-  std::printf(
-      "progressive serving, 2 workers, %d clients, fifo — deadline-"
-      "bounded vs exact baseline at the same offered load:\n", clients);
-  TextTable table({"mode", "throughput (q/s)", "QIF (q/s)",
-                   "p90 latency (ms)", "LCV %", "deadline hits",
-                   "rows frac", "refinements"});
-  const auto base = MustRun(cfg, road, 2, clients, AdmissionPolicy::kFifo);
-  const auto& bs = base.load.snapshot;
-  table.AddRow({"baseline", FormatDouble(bs.throughput_qps, 1),
-                FormatDouble(bs.qif_qps, 1),
-                FormatDouble(bs.latency_p90_ms, 1),
-                FormatDouble(bs.lcv_fraction * 100.0, 1), "-", "-", "-"});
-  const double kBudgets[] = {0.0, 5.0, 1.0};  // 0 = inter-arrival budget.
-  for (double budget_ms : kBudgets) {
-    BenchConfig point = cfg;
-    point.progressive_serve = true;
-    point.deadline_ms = budget_ms;
-    const auto r = MustRun(point, road, 2, clients, AdmissionPolicy::kFifo);
-    const auto& s = r.load.snapshot;
-    table.AddRow(
-        {budget_ms > 0.0 ? StrFormat("deadline %.0f ms", budget_ms)
-                         : std::string("deadline adaptive"),
-         FormatDouble(s.throughput_qps, 1), FormatDouble(s.qif_qps, 1),
-         FormatDouble(s.latency_p90_ms, 1),
-         FormatDouble(s.lcv_fraction * 100.0, 1),
-         StrFormat("%lld",
-                   static_cast<long long>(s.progressive_deadline_hits)),
-         FormatDouble(s.progressive_rows_fraction_mean, 3),
-         StrFormat("%lld",
-                   static_cast<long long>(s.progressive_refinements))});
-    if (cfg.smoke) break;
-  }
-  std::printf("%s\n", table.ToString().c_str());
-
-  const std::vector<int64_t> budgets =
-      cfg.smoke ? std::vector<int64_t>{200, 0}
-                : std::vector<int64_t>{50, 200, 1000, 0};
-  const auto sweep =
-      EngineDeadlineSweep(cfg, road, budgets, cfg.smoke ? 3 : 10);
-  TextTable etable({"deadline budget", "rows frac", "mean rel error %",
-                    "passes"});
-  for (const DeadlinePoint& p : sweep) {
-    etable.AddRow(
-        {p.budget_us > 0
-             ? StrFormat("%lld us", static_cast<long long>(p.budget_us))
-             : std::string("unbounded"),
-         FormatDouble(p.rows_fraction, 3),
-         FormatDouble(p.mean_rel_error * 100.0, 2),
-         FormatDouble(p.passes, 1)});
-  }
-  std::printf("engine deadline sweep (error side of the trade-off):\n%s\n",
-              etable.ToString().c_str());
-  std::printf(
-      "check: progressive rows keep LCV%% below the baseline at the same "
-      "offered QIF (expired deadlines return approximate histograms "
-      "instead of queueing exact scans); the engine sweep shows relative "
-      "error falling toward 0 as the budget grows, hitting exactly 0 when "
-      "unbounded (bitwise-identical to the exact path)\n\n");
-}
-
 /// One traced configuration, run twice — tracing off then on — so the
 /// overhead of the instrumentation itself is a printed number, not a
 /// claim. The traced pass exports its ring buffer to `path` and prints
@@ -945,61 +800,6 @@ void RunJsonExport(const BenchConfig& cfg, const TablePtr& road,
       ns.throughput_qps, qps_on, net_delta,
       static_cast<long long>(sw.bytes_sent),
       static_cast<long long>(sw.bytes_received));
-
-  // The same configuration once more with deadline-bounded progressive
-  // serving (adaptive inter-arrival budgets) and a fresh registry, so the
-  // export records the LCV shift against the exact baseline above and a
-  // `ideval_progressive_*` exposition block the CI check reconciles
-  // against the section's counters.
-  MetricsRegistry prog_registry;
-  LoadReport prog_report;
-  {
-    EngineOptions eopts;
-    eopts.profile = EngineProfile::kInMemoryColumnStore;
-    eopts.enable_zone_maps = cfg.zone_maps;
-    eopts.kernel_isa = cfg.kernels;
-    Engine engine(eopts);
-    if (!engine.RegisterTable(road).ok()) std::abort();
-    ServerOptions sopts;
-    sopts.num_workers = workers;
-    sopts.max_queue_per_session = 4;
-    sopts.policy = AdmissionPolicy::kFifo;
-    sopts.enable_shared_cache = cfg.cache;
-    sopts.enable_progressive = true;
-    sopts.enable_metrics = true;
-    sopts.metrics_registry = &prog_registry;
-    sopts.throttle_min_interval = Duration::Seconds(1.0 / kCompression);
-    sopts.debounce_quiet = Duration::Seconds(0.3 / kCompression);
-    auto server = QueryServer::Create(&engine, sopts);
-    if (!server.ok()) std::abort();
-    std::vector<std::vector<QueryGroup>> sessions;
-    sessions.reserve(static_cast<size_t>(clients));
-    for (int c = 0; c < clients; ++c) {
-      sessions.push_back(bench::CrossfilterGroups(
-          road, DeviceType::kMouse,
-          bench::kCrossfilterSeed + 300 + static_cast<uint64_t>(c),
-          cfg.moves()));
-    }
-    LoadDriverOptions lopts;
-    lopts.time_compression = kCompression;
-    auto report = RunLoadDriver(server->get(), sessions, lopts);
-    if (!report.ok()) std::abort();
-    (*server)->Stop();
-    prog_report = std::move(*report);
-  }
-  const ServerStatsSnapshot& ps = prog_report.snapshot;
-  std::printf(
-      "  progressive: LCV %.3f (baseline %.3f) at QIF %.1f q/s; "
-      "%lld deadline hits, rows fraction %.3f, %lld refinements\n",
-      ps.lcv_fraction, on_report.snapshot.lcv_fraction, ps.qif_qps,
-      static_cast<long long>(ps.progressive_deadline_hits),
-      ps.progressive_rows_fraction_mean,
-      static_cast<long long>(ps.progressive_refinements));
-  const std::vector<int64_t> sweep_budgets =
-      cfg.smoke ? std::vector<int64_t>{200, 0}
-                : std::vector<int64_t>{50, 200, 1000, 0};
-  const std::vector<DeadlinePoint> deadline_sweep =
-      EngineDeadlineSweep(cfg, road, sweep_budgets, cfg.smoke ? 3 : 10);
 
   // The same configuration once more with tracing on, so the export
   // carries the span-derived per-phase tail attribution. A separate run
@@ -1306,31 +1106,6 @@ void RunJsonExport(const BenchConfig& cfg, const TablePtr& road,
       .Double(s.result_cache_enabled ? s.result_cache.HitRate() : -1.0);
   w.Key("wall_seconds").Double(wall_seconds);
   w.EndObject();
-  w.Key("progressive").BeginObject();
-  w.Key("deadline_ms").Double(0.0);  // 0 = adaptive inter-arrival budget.
-  w.Key("baseline_lcv_fraction").Double(s.lcv_fraction);
-  w.Key("baseline_qif_qps").Double(s.qif_qps);
-  w.Key("lcv_fraction").Double(ps.lcv_fraction);
-  w.Key("qif_qps").Double(ps.qif_qps);
-  w.Key("throughput_qps").Double(ps.throughput_qps);
-  w.Key("latency_p90_ms").Double(ps.latency_p90_ms);
-  w.Key("groups_executed").Int(ps.totals.groups_executed);
-  w.Key("passes").Int(ps.progressive_passes);
-  w.Key("deadline_hits").Int(ps.progressive_deadline_hits);
-  w.Key("refinements").Int(ps.progressive_refinements);
-  w.Key("rows_fraction_mean").Double(ps.progressive_rows_fraction_mean);
-  w.Key("deadline_sweep").BeginArray();
-  for (const DeadlinePoint& p : deadline_sweep) {
-    w.BeginObject();
-    w.Key("budget_us").Int(p.budget_us);
-    w.Key("rows_fraction").Double(p.rows_fraction);
-    w.Key("mean_rel_error").Double(p.mean_rel_error);
-    w.Key("passes").Double(p.passes);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.Key("metrics").Raw(prog_registry.ExpositionJson());
-  w.EndObject();
   w.Key("series").BeginObject();
   w.Key("period_ms").Double(poll_ms);
   w.Key("pushed").Int(series_samples);
@@ -1515,7 +1290,6 @@ void Run(const BenchConfig& cfg) {
   RunShardSweep(cfg, road);
   RunCacheSweep(cfg, road);
   RunPolicySweep(cfg, road);
-  if (cfg.progressive) RunProgressiveSweep(cfg, road);
   if (cfg.net) RunNetSweep(cfg, road);
   if (!cfg.trace_out.empty()) {
     // With --net the traced run is the stitched cross-process one
@@ -1550,7 +1324,6 @@ int main(int argc, char** argv) {
     cfg.kernels = *isa;
   }
   cfg.net = ideval::bench::BoolFlag(argc, argv, "net");
-  cfg.progressive = ideval::bench::BoolFlag(argc, argv, "progressive");
   cfg.smoke = ideval::bench::BoolFlag(argc, argv, "smoke");
   cfg.http = ideval::bench::BoolFlag(argc, argv, "http");
   cfg.http_port_file = ideval::bench::StrFlag(argc, argv, "http_port_file");

@@ -151,16 +151,6 @@ Result<QueryResponse> Engine::Execute(const Query& query) const {
   return r;
 }
 
-Result<ProgressiveHistogramResult> Engine::ExecuteHistogramProgressive(
-    const HistogramQuery& query,
-    const ProgressiveDeadlineOptions& options) const {
-  IDEVAL_ASSIGN_OR_RETURN(TablePtr table, GetTable(query.table));
-  Result<ProgressiveHistogramResult> r = RunDeadlineHistogram(
-      table, ZoneMapsFor(query.table), query, options, cost_model_, kops_);
-  if (r.ok()) RecordPruning(r->stats);
-  return r;
-}
-
 Result<QueryResponse> Engine::ExecuteSelect(const SelectQuery& query) const {
   IDEVAL_ASSIGN_OR_RETURN(TablePtr table, GetTable(query.table));
   IDEVAL_ASSIGN_OR_RETURN(

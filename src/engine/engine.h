@@ -15,7 +15,6 @@
 #include "engine/cost_model.h"
 #include "engine/kernels/kernels.h"
 #include "engine/predicate.h"
-#include "engine/progressive.h"
 #include "engine/query.h"
 #include "storage/table.h"
 
@@ -167,17 +166,6 @@ class Engine {
 
   /// Executes any supported query. Safe for concurrent callers.
   Result<QueryResponse> Execute(const Query& query) const;
-
-  /// Deadline-aware block-incremental histogram — the progressive serve
-  /// mode (docs/progressive.md). Runs `RunDeadlineHistogram` over the
-  /// registered table and its zone maps; a run that completes before the
-  /// deadline is bitwise-identical to `Execute`, an interrupted run
-  /// returns a scaled estimate with per-bin confidence intervals. Page
-  /// charges are not modelled (progressive serving targets the in-memory
-  /// profile). Safe for concurrent callers.
-  Result<ProgressiveHistogramResult> ExecuteHistogramProgressive(
-      const HistogramQuery& query,
-      const ProgressiveDeadlineOptions& options) const;
 
   /// Validates `query` and binds it into a scan cut into morsels of
   /// `kMorselBlocks` zone-map blocks; `Execute` runs it as the only

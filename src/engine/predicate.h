@@ -176,8 +176,8 @@ class CompiledPredicates {
 };
 
 /// Kernel-driven filtered histogram scan over rows [begin, end) — the
-/// shared inner loop of `Engine::RunHistogramMorsels` and the progressive
-/// pass loop. Chunks the range into `kKernelScanChunk`-row stretches,
+/// inner loop of `Engine::RunHistogramMorsels`.
+/// Chunks the range into `kKernelScanChunk`-row stretches,
 /// materializes the predicate mask per chunk via `preds.EvalMask`, and
 /// bins matching rows of the bin column (exactly one of `int_vals` /
 /// `dbl_vals` non-null, pointing at row 0) into `counts` (caller-zeroed

@@ -199,8 +199,6 @@ Result<WorkloadSpec> ParseWorkloadSpec(const std::string& text) {
     } else if (key == "adaptive_admission") {
       IDEVAL_ASSIGN_OR_RETURN(spec.adaptive_admission,
                               ParseBool(key, value));
-    } else if (key == "serve_cache") {
-      IDEVAL_ASSIGN_OR_RETURN(spec.serve_cache, ParseBool(key, value));
     } else if (key == "serve_shared_cache") {
       IDEVAL_ASSIGN_OR_RETURN(spec.serve_shared_cache,
                               ParseBool(key, value));
@@ -244,12 +242,6 @@ Result<WorkloadSpec> ParseWorkloadSpec(const std::string& text) {
             "serve_net_port must be in 1..65535");
       }
       spec.serve_net_port = static_cast<int>(n);
-    } else if (key == "serve_progressive") {
-      IDEVAL_ASSIGN_OR_RETURN(spec.serve_progressive, ParseBool(key, value));
-    } else if (key == "serve_deadline_ms") {
-      // <= 0 falls back to the session inter-arrival budget.
-      IDEVAL_ASSIGN_OR_RETURN(spec.serve_deadline_ms,
-                              ParseNumber(key, value));
     } else if (key == "serve_slo") {
       IDEVAL_ASSIGN_OR_RETURN(spec.serve_slo, ParseBool(key, value));
     } else if (key == "serve_slo_lcv_target") {
@@ -334,7 +326,6 @@ std::string WorkloadSpecToText(const WorkloadSpec& spec) {
                    AdmissionPolicyToString(spec.admission));
   out += StrFormat("adaptive_admission = %s\n",
                    spec.adaptive_admission ? "true" : "false");
-  out += StrFormat("serve_cache = %s\n", spec.serve_cache ? "true" : "false");
   out += StrFormat("serve_shared_cache = %s\n",
                    spec.serve_shared_cache ? "true" : "false");
   out += StrFormat("serve_shards = %d\n", spec.serve_shards);
@@ -350,9 +341,6 @@ std::string WorkloadSpecToText(const WorkloadSpec& spec) {
   if (spec.serve_net_port != 0) {
     out += StrFormat("serve_net_port = %d\n", spec.serve_net_port);
   }
-  out += StrFormat("serve_progressive = %s\n",
-                   spec.serve_progressive ? "true" : "false");
-  out += StrFormat("serve_deadline_ms = %g\n", spec.serve_deadline_ms);
   out += StrFormat("serve_slo = %s\n", spec.serve_slo ? "true" : "false");
   if (spec.serve_slo) {
     out += StrFormat("serve_slo_lcv_target = %g\n",
@@ -691,17 +679,12 @@ Result<WorkloadReport> RunServeWorkload(const WorkloadSpec& spec,
   sopts.max_queue_per_session = spec.serve_queue_cap;
   sopts.policy = spec.admission;
   sopts.adaptive_admission = spec.adaptive_admission;
-  sopts.enable_session_cache = spec.serve_cache;
   sopts.enable_shared_cache = spec.serve_shared_cache;
   sopts.enable_tracing = spec.serve_trace;
   sopts.trace_buffer_spans = spec.serve_trace_buffer_spans;
   sopts.slow_query_ms = spec.serve_slow_query_ms;
   sopts.enable_metrics = spec.serve_metrics;
   sopts.stats_poll_ms = spec.serve_stats_poll_ms;
-  sopts.enable_progressive = spec.serve_progressive;
-  // Spec contract is "<= 0 derives the budget from inter-arrival"; the
-  // server expresses the same as exactly 0, so fold negatives in.
-  sopts.progressive_deadline_ms = std::max(0.0, spec.serve_deadline_ms);
   if (spec.serve_slo) {
     sopts.enable_slo = true;
     sopts.slo_lcv_target = spec.serve_slo_lcv_target;

@@ -74,17 +74,14 @@ struct WorkloadSpec {
   AdmissionPolicy admission = AdmissionPolicy::kFifo;
   /// Let the admission controller switch to shedding under overload.
   bool adaptive_admission = false;
-  /// Per-session exact-match result cache in live mode.
-  bool serve_cache = false;
   /// Shared cross-session result cache in live mode
   /// (`ServerOptions::enable_shared_cache`): one invalidation-aware LRU
   /// above the backend with single-flight coalescing. Works with any
-  /// `serve_shards`; mutually exclusive with `serve_cache`.
+  /// `serve_shards`.
   bool serve_shared_cache = false;
   /// Engine shards behind the live server; > 1 range-partitions the
   /// workload table across that many `Engine` instances and every group
-  /// goes through the scatter/execute/merge pipeline. Incompatible with
-  /// `serve_cache` (use `serve_shared_cache` instead).
+  /// goes through the scatter/execute/merge pipeline.
   int serve_shards = 1;
   /// Trace replay speed-up for the live load driver (>= 1 recommended).
   double time_compression = 50.0;
@@ -110,16 +107,6 @@ struct WorkloadSpec {
   bool serve_net = false;
   /// Port for `serve_net` (1..65535); 0 picks an ephemeral port.
   int serve_net_port = 0;
-  /// Deadline-bounded progressive serving in live mode
-  /// (`ServerOptions::enable_progressive`, docs/progressive.md): every
-  /// histogram runs block-incremental passes against its deadline and
-  /// returns the approximation with confidence intervals on expiry.
-  /// Mutually exclusive with `serve_cache`.
-  bool serve_progressive = false;
-  /// Fixed deadline budget in milliseconds when `serve_progressive` is
-  /// on; <= 0 derives each group's budget from the session's observed
-  /// inter-arrival interval (the LCV budget).
-  double serve_deadline_ms = 0.0;
   /// Declarative SLOs over the stats-poller samples
   /// (`ServerOptions::enable_slo`, docs/observability.md): multi-window
   /// multi-burn-rate evaluation plus the flight recorder. Requires

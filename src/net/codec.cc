@@ -306,11 +306,6 @@ Result<SubmitAckPayload> DecodeSubmitAck(WireReader* r) {
 }
 
 void EncodeCompletion(WireWriter* w, const CompletionPayload& done) {
-  EncodeCompletion(w, done, kWireVersion);
-}
-
-void EncodeCompletion(WireWriter* w, const CompletionPayload& done,
-                      uint8_t version) {
   w->U64(done.seq);
   w->U8(static_cast<uint8_t>(done.terminal));
   w->U8(done.lcv ? 1 : 0);
@@ -325,24 +320,9 @@ void EncodeCompletion(WireWriter* w, const CompletionPayload& done,
     w->U8(slot.has_value() ? 1 : 0);
     if (slot.has_value()) EncodeResultData(w, *slot);
   }
-  if (version < kWireVersionApprox) return;
-  // v2 approximation block: zero or one record per result slot.
-  w->U32(static_cast<uint32_t>(done.approx.size()));
-  for (const ApproxResultInfo& info : done.approx) {
-    w->U8(info.approximate ? 1 : 0);
-    w->F64(info.fraction_rows);
-    w->F64(info.confidence);
-    w->I64(info.passes);
-    w->U32(static_cast<uint32_t>(info.ci_half_width.size()));
-    for (double hw : info.ci_half_width) w->F64(hw);
-  }
 }
 
 Result<CompletionPayload> DecodeCompletion(WireReader* r) {
-  return DecodeCompletion(r, kWireVersion);
-}
-
-Result<CompletionPayload> DecodeCompletion(WireReader* r, uint8_t version) {
   CompletionPayload done;
   done.seq = r->U64();
   const uint8_t terminal = r->U8();
@@ -370,25 +350,12 @@ Result<CompletionPayload> DecodeCompletion(WireReader* r, uint8_t version) {
     done.results.emplace_back(std::move(data));
   }
   if (!r->ok()) return Malformed("completion results");
-  if (version < kWireVersionApprox) return done;
-  const uint32_t na = r->U32();
-  if (!r->CanContain(na, 1)) return Malformed("completion approx count");
-  if (na != 0 && na != n) return Malformed("completion approx mismatch");
-  done.approx.reserve(na);
-  for (uint32_t i = 0; i < na; ++i) {
-    ApproxResultInfo info;
-    info.approximate = r->U8() != 0;
-    info.fraction_rows = r->F64();
-    info.confidence = r->F64();
-    info.passes = r->I64();
-    const uint32_t bins = r->U32();
-    if (!r->CanContain(bins, 8)) return Malformed("completion approx bins");
-    info.ci_half_width.resize(bins);
-    for (uint32_t b = 0; b < bins; ++b) info.ci_half_width[b] = r->F64();
-    done.approx.push_back(std::move(info));
-  }
-  if (!r->ok()) return Malformed("completion approx");
   return done;
+}
+
+Result<CompletionPayload> DecodeCompletion(WireReader* r,
+                                           uint8_t /*version*/) {
+  return DecodeCompletion(r);
 }
 
 void EncodeError(WireWriter* w, WireErrorCode code,

@@ -53,10 +53,6 @@ struct CompletionPayload {
   /// One slot per query in submission order; empty = that query failed.
   /// Empty vector for shed groups.
   std::vector<std::optional<QueryResultData>> results;
-  /// Wire-version-2 extension (progressive serving): one approximation
-  /// record per result slot, or empty when the server ran everything
-  /// exact. Never encoded into a v1 frame.
-  std::vector<ApproxResultInfo> approx;
 };
 
 /// Error payload of a `kError` frame.
@@ -71,14 +67,13 @@ Result<std::vector<Query>> DecodeQueryGroup(WireReader* r);
 void EncodeSubmitAck(WireWriter* w, const SubmitAckPayload& ack);
 Result<SubmitAckPayload> DecodeSubmitAck(WireReader* r);
 
-/// Completion codec. The one-argument forms encode/decode the version-1
-/// payload (no approximation block) and remain byte-identical to the
-/// pre-v2 wire format; pass `kWireVersionApprox` (from the frame header)
-/// to carry `CompletionPayload::approx`.
+/// Completion codec. Versions 1 and 3 share one completion payload.
 void EncodeCompletion(WireWriter* w, const CompletionPayload& done);
-void EncodeCompletion(WireWriter* w, const CompletionPayload& done,
-                      uint8_t version);
 Result<CompletionPayload> DecodeCompletion(WireReader* r);
+/// As above. `version` is the frame header's and selects nothing, since
+/// every understood version has the same completion layout; the overload
+/// stays for callers that pass the header through, such as the
+/// repository benchmark's load generator (benchmark/load.cc).
 Result<CompletionPayload> DecodeCompletion(WireReader* r, uint8_t version);
 
 void EncodeError(WireWriter* w, WireErrorCode code, std::string_view message);

@@ -103,9 +103,7 @@ Status NetClient::ReadFrame() {
 void NetClient::TallyCompletion(const FrameHeader& h) {
   const int64_t recv_t0 = trace_ != nullptr ? trace_->NowMicros() : 0;
   WireReader r(payload_, h.payload_len);
-  // The frame header's version selects the payload layout (v2 appends
-  // the progressive approximation block).
-  auto done = DecodeCompletion(&r, h.version);
+  auto done = DecodeCompletion(&r);
   if (!done.ok() || !r.Done()) return;  // Corrupt completion: skip.
   if (trace_ != nullptr) {
     auto it = pending_traces_.find(h.request_id);
@@ -130,12 +128,6 @@ void NetClient::TallyCompletion(const FrameHeader& h) {
     ++stats_.completions_shed;
   }
   if (done->lcv) ++stats_.lcv_violations;
-  for (const ApproxResultInfo& info : done->approx) {
-    if (info.approximate) {
-      ++stats_.approx_completions;
-      break;
-    }
-  }
   stats_.queries_executed += done->queries_executed;
   stats_.queries_failed += done->queries_failed;
   stats_.cache_hits += done->cache_hits;

@@ -35,9 +35,6 @@ struct NetClientStats {
   int64_t queries_executed = 0;
   int64_t queries_failed = 0;
   int64_t cache_hits = 0;
-  /// Wire-v2 completions carrying at least one approximate result
-  /// (progressive serving); each such result came with CI half-widths.
-  int64_t approx_completions = 0;
   /// Server-reported submit->terminal latency of executed groups.
   std::vector<double> latency_ms;
 };

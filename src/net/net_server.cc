@@ -449,16 +449,10 @@ void NetServer::Impl::DrainCompletions() {
     payload.service_us = item.done.service.micros();
     payload.latency_us = item.done.latency.micros();
     payload.results = std::move(item.done.results);
-    payload.approx = std::move(item.done.approx);
-    // Approximation info upgrades the frame to wire v2; every other
-    // completion stays byte-identical to the v1 format.
-    const uint8_t version =
-        payload.approx.empty() ? kWireVersion : kWireVersionApprox;
     WireWriter w(&scratch);
     const size_t f = w.BeginFrame(Opcode::kGroupComplete,
-                                  item.done.session_id, item.request_id,
-                                  version);
-    EncodeCompletion(&w, payload, version);
+                                  item.done.session_id, item.request_id);
+    EncodeCompletion(&w, payload);
     w.EndFrame(f);
     const size_t frame_bytes = scratch.size() - f;
     if (c->QueuedBytes() + frame_bytes >

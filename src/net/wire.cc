@@ -177,7 +177,7 @@ bool DecodeFrameHeader(const uint8_t* buf, size_t size, FrameHeader* out) {
   out->request_id = r.U64();
   out->payload_len = r.U32();
   if (magic != kWireMagic) return false;
-  if (out->version < kWireVersion || out->version > kWireVersionTrace) {
+  if (out->version != kWireVersion && out->version != kWireVersionTrace) {
     return false;
   }
   if (out->payload_len > kMaxPayloadBytes) return false;

@@ -19,18 +19,11 @@ namespace ideval {
 ///   offset | size | field
 ///   -------|------|---------------------------------------------
 ///        0 |    2 | magic (0xD11D)
-///        2 |    1 | version (1, 2, or 3)
+///        2 |    1 | version (1 or 3)
 ///        3 |    1 | opcode
 ///        4 |    8 | session_id (0 when not session-scoped)
 ///       12 |    8 | request_id (echoed in the matching response)
 ///       20 |    4 | payload_len
-///
-/// Version 2 differs from version 1 only in the `kGroupComplete`
-/// payload, which appends a per-result approximation block (progressive
-/// serving, docs/progressive.md). A server emits a v2 frame only for a
-/// completion that actually carries approximation info; everything else
-/// stays v1, so v2-unaware peers interoperate with non-progressive
-/// servers byte-for-byte.
 ///
 /// Version 3 differs from version 1 only in the `kSubmitGroup` payload,
 /// which prefixes the encoded query group with a trace id (u64) — the
@@ -38,9 +31,12 @@ namespace ideval {
 /// server-side spans of one interaction stitch into a single timeline
 /// (docs/observability.md). A client emits a v3 frame only when it has a
 /// trace buffer attached; an untraced client stays v1 byte-for-byte.
+///
+/// Version 2 is retired (it carried approximate completions, which the
+/// server no longer produces): a v2 header is malformed, like any other
+/// unknown version (docs/net.md).
 inline constexpr uint16_t kWireMagic = 0xD11D;
 inline constexpr uint8_t kWireVersion = 1;
-inline constexpr uint8_t kWireVersionApprox = 2;
 inline constexpr uint8_t kWireVersionTrace = 3;  ///< Highest understood.
 inline constexpr size_t kWireHeaderBytes = 24;
 /// Upper bound on a single frame's payload; a larger advertised length is
@@ -111,7 +107,7 @@ class WireWriter {
 
   /// Writes a frame header with a placeholder payload length and returns
   /// the frame's start offset in the buffer (pass it to `EndFrame`).
-  /// `version` must be a version this library understands (1, 2, or 3).
+  /// `version` must be a version this library understands (1 or 3).
   size_t BeginFrame(Opcode op, uint64_t session_id, uint64_t request_id,
                     uint8_t version = kWireVersion);
 

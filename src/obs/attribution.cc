@@ -76,7 +76,6 @@ AttributionReport ComputeAttribution(const std::vector<SpanRecord>& spans) {
       case SpanKind::kCacheLookup:
       case SpanKind::kExecute:
       case SpanKind::kShardExec:
-      case SpanKind::kProgressivePass:
         t.exec.emplace_back(s.start_us, s.end_us);
         break;
       default:

@@ -15,8 +15,8 @@ namespace ideval {
 ///                 + merge_ms + other_ms
 ///
 /// `shard_exec_ms` is the *wall-clock union* of every execution-side span
-/// (cache lookups, per-query executes, shard partials, progressive
-/// passes), so parallel shard lanes count once, not `num_shards` times.
+/// (cache lookups, per-query executes, shard partials), so parallel
+/// shard lanes count once, not `num_shards` times.
 /// `other_ms` is the remainder — dispatch gaps, cross-thread handoff —
 /// clamped at zero, which makes the rows sum to the group latency by
 /// construction (up to clamping, which only fires when execution spans
@@ -30,8 +30,8 @@ struct PhaseBreakdown {
   double latency_ms = 0.0;  ///< Root span: submit -> terminal.
   double queue_ms = 0.0;    ///< Admit -> dispatch (`kQueueWait`).
   double scatter_ms = 0.0;  ///< Plan + fan-out (`kScatter`).
-  /// Backend busy: union of `kCacheLookup`/`kExecute`/`kShardExec`/
-  /// `kProgressivePass` intervals.
+  /// Backend busy: union of `kCacheLookup`/`kExecute`/`kShardExec`
+  /// intervals.
   double shard_exec_ms = 0.0;
   double merge_ms = 0.0;  ///< Partial-combine (`kMerge`).
   double other_ms = 0.0;  ///< Remainder of the root span, >= 0.

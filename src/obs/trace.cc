@@ -31,8 +31,6 @@ const char* SpanKindToString(SpanKind kind) {
       return "net_recv";
     case SpanKind::kNetSend:
       return "net_send";
-    case SpanKind::kProgressivePass:
-      return "progressive_pass";
     case SpanKind::kNetClientSend:
       return "net_client_send";
     case SpanKind::kNetClientRecv:
@@ -337,13 +335,6 @@ void AppendKindArgs(std::string* out, const SpanRecord& s) {
           ",\"opcode\":%lld,\"bytes\":%lld,\"request_id\":%lld",
           static_cast<long long>(s.detail), static_cast<long long>(s.attr0),
           static_cast<long long>(s.attr1));
-      break;
-    case SpanKind::kProgressivePass:
-      *out += StrFormat(
-          ",\"pass\":%lld,\"blocks\":%lld,\"rows\":%lld,"
-          "\"blocks_total\":%lld",
-          static_cast<long long>(s.detail), static_cast<long long>(s.attr0),
-          static_cast<long long>(s.attr1), static_cast<long long>(s.attr2));
       break;
   }
 }

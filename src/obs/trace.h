@@ -28,7 +28,6 @@ enum class SpanKind : uint8_t {
   kMerge,         ///< Sharded: partial-combine wall time.
   kNetRecv,       ///< Socket front-end: one request frame decoded.
   kNetSend,       ///< Socket front-end: one response frame written.
-  kProgressivePass,  ///< Progressive mode: one block-incremental pass.
   kNetClientSend,    ///< Client: submit frame sent -> ack received (RTT).
   kNetClientRecv,    ///< Client: completion frame decoded and tallied.
 };
@@ -70,7 +69,6 @@ const char* GroupTerminalToString(GroupTerminal terminal);
 ///   kMerge       | —                       | merged, failed
 ///   kNetRecv     | opcode                  | bytes, request id
 ///   kNetSend     | opcode                  | bytes, request id
-///   kProgressivePass | pass index          | blocks, rows, blocks total
 ///   kNetClientSend | opcode                | bytes, request id
 ///   kNetClientRecv | opcode                | bytes, request id
 struct SpanRecord {

@@ -276,20 +276,6 @@ Result<ResultCache::Execution> ResultCache::Execute(
   return out;
 }
 
-std::optional<QueryResponse> ResultCache::Lookup(const Query& query) {
-  const std::string key = CanonicalQueryKey(query);
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto hit = shard.entries.find(key);
-  if (hit == shard.entries.end()) {
-    ++shard.stats.misses;
-    return std::nullopt;
-  }
-  ++shard.stats.hits;
-  shard.lru.splice(shard.lru.begin(), shard.lru, hit->second.lru_it);
-  return hit->second.response;
-}
-
 void ResultCache::Clear() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);

@@ -7,7 +7,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -145,15 +144,6 @@ class ResultCache {
   Result<Execution> Execute(const Query& query, const TracedBackend& backend,
                             const TraceContext& trace,
                             uint64_t parent_span_id);
-
-  /// Probe-only lookup: returns the cached response on a hit (counted as
-  /// a hit, with an LRU touch) or nullopt on a miss (counted as a miss).
-  /// Never runs a backend, never joins an in-flight execution, never
-  /// inserts. The progressive serve path uses this to reuse refined
-  /// results without ever publishing an approximate one
-  /// (docs/progressive.md); `Lookups()` keeps reconciling because every
-  /// probe lands in exactly one of the hit/miss buckets.
-  std::optional<QueryResponse> Lookup(const Query& query);
 
   /// Drops every entry and advances the epoch (in-flight executions will
   /// not install results). Call while quiescing the backend — e.g. around

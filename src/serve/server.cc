@@ -1,7 +1,6 @@
 #include "serve/server.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "common/build_info.h"
@@ -42,36 +41,11 @@ Status QueryServer::ValidateOptions(const ServerOptions& options) {
   if (options.admission.window <= Duration::Zero()) {
     return Status::InvalidArgument("admission window must be > 0");
   }
-  if (options.enable_session_cache && options.session_cache_capacity < 1) {
-    return Status::InvalidArgument("session_cache_capacity must be >= 1");
-  }
-  if (options.enable_shared_cache && options.enable_session_cache) {
-    return Status::InvalidArgument(
-        "enable_shared_cache and enable_session_cache are mutually "
-        "exclusive; the shared cache supersedes the per-session one");
-  }
   if (options.enable_shared_cache && options.shared_cache_bytes < 1) {
     return Status::InvalidArgument("shared_cache_bytes must be >= 1");
   }
   if (options.enable_shared_cache && options.shared_cache_shards < 1) {
     return Status::InvalidArgument("shared_cache_shards must be >= 1");
-  }
-  if (options.enable_progressive && options.enable_session_cache) {
-    return Status::InvalidArgument(
-        "enable_progressive is incompatible with enable_session_cache; "
-        "use enable_shared_cache for result reuse under progressive "
-        "serving");
-  }
-  if (options.enable_progressive && options.progressive_deadline_ms < 0.0) {
-    return Status::InvalidArgument(
-        "progressive_deadline_ms must be >= 0 (0 derives the budget from "
-        "the session inter-arrival interval)");
-  }
-  if (options.enable_progressive &&
-      !(options.progressive_confidence > 0.0 &&
-        options.progressive_confidence < 1.0)) {
-    return Status::InvalidArgument(
-        "progressive_confidence must lie in (0, 1)");
   }
   if (options.shard_workers < 0) {
     return Status::InvalidArgument(
@@ -132,12 +106,6 @@ Result<std::unique_ptr<QueryServer>> QueryServer::Create(
   for (int i = 0; i < server->options_.num_workers; ++i) {
     server->workers_.emplace_back([s = server.get()] { s->WorkerLoop(); });
   }
-  if (server->options_.enable_progressive &&
-      server->options_.progressive_refine &&
-      server->result_cache_ != nullptr) {
-    server->refine_thread_ =
-        std::thread([s = server.get()] { s->RefineLoop(); });
-  }
   // The poller starts last, once the server is fully serveable.
   if (server->poller_ != nullptr) server->poller_->Start();
   return server;
@@ -149,11 +117,6 @@ Result<std::unique_ptr<QueryServer>> QueryServer::Create(
     return Status::InvalidArgument("QueryServer needs a sharded engine");
   }
   IDEVAL_RETURN_NOT_OK(ValidateOptions(options));
-  if (options.enable_session_cache) {
-    return Status::InvalidArgument(
-        "session cache is incompatible with a sharded backend; use "
-        "enable_shared_cache, which layers above the scatter/merge");
-  }
   auto server = std::unique_ptr<QueryServer>(
       new QueryServer(/*engine=*/nullptr, sharded, std::move(options)));
   const int shard_pool = server->options_.shard_workers > 0
@@ -168,12 +131,6 @@ Result<std::unique_ptr<QueryServer>> QueryServer::Create(
       static_cast<size_t>(server->options_.num_workers));
   for (int i = 0; i < server->options_.num_workers; ++i) {
     server->workers_.emplace_back([s = server.get()] { s->WorkerLoop(); });
-  }
-  if (server->options_.enable_progressive &&
-      server->options_.progressive_refine &&
-      server->result_cache_ != nullptr) {
-    server->refine_thread_ =
-        std::thread([s = server.get()] { s->RefineLoop(); });
   }
   if (server->poller_ != nullptr) server->poller_->Start();
   return server;
@@ -314,7 +271,7 @@ void QueryServer::RegisterMetrics() {
       "Failed queries inside executed groups");
   hot_.cache_hits = mreg_->RegisterCounter(
       "ideval_serve_cache_hits_total",
-      "Queries answered by the session or shared result cache");
+      "Queries answered by the shared result cache");
   hot_.lcv_violations = mreg_->RegisterCounter(
       "ideval_serve_lcv_violations_total",
       "Executed groups that finished after a newer submission (LCV)");
@@ -324,20 +281,6 @@ void QueryServer::RegisterMetrics() {
   hot_.service_ms = mreg_->RegisterHistogram(
       "ideval_serve_group_service_ms",
       "Backend busy time of executed groups, dispatch to done (ms)");
-  // Registered unconditionally (zeros when progressive serving is off)
-  // so the exposition schema is stable across server configurations.
-  hot_.prog_passes = mreg_->RegisterCounter(
-      "ideval_progressive_passes_total",
-      "Block-incremental passes run by progressive executions");
-  hot_.prog_deadline_hits = mreg_->RegisterCounter(
-      "ideval_progressive_deadline_hits_total",
-      "Queries whose deadline fired before a full scan (approximate)");
-  hot_.prog_refinements = mreg_->RegisterCounter(
-      "ideval_progressive_refinements_total",
-      "Background exact refinements published into the shared cache");
-  hot_.prog_rows_fraction = mreg_->RegisterHistogram(
-      "ideval_progressive_rows_fraction",
-      "Fraction of table rows resolved when a progressive query returned");
   hot_.morsel_morsels = mreg_->RegisterCounter(
       "ideval_morsel_morsels_total",
       "Morsels of posted histogram scans claimed by helping workers");
@@ -419,16 +362,7 @@ std::chrono::steady_clock::time_point QueryServer::ToSteady(SimTime t) const {
 
 uint64_t QueryServer::OpenSession() {
   std::lock_guard<std::mutex> lock(mu_);
-  ServeSession* s = sessions_.Open(options_.admission.window);
-  if (options_.enable_session_cache) {
-    SessionCache::Options copts;
-    copts.capacity = options_.session_cache_capacity;
-    // The cache borrows the engine for misses; it never mutates tables,
-    // so the const_cast only widens access back to the read-only Execute.
-    s->set_cache(std::make_unique<SessionCache>(
-        const_cast<Engine*>(engine_), copts));
-  }
-  return s->id();
+  return sessions_.Open(options_.admission.window)->id();
 }
 
 Status QueryServer::CloseSession(uint64_t session_id) {
@@ -554,24 +488,6 @@ Result<SubmitOutcome> QueryServer::Submit(uint64_t session_id,
                   static_cast<unsigned long long>(session_id)));
   }
 
-  // The progressive deadline derives from the session's inter-arrival
-  // interval — the LCV budget: a result is useful until the user's next
-  // interaction. Read *before* RecordSubmit stamps this submission.
-  SimTime deadline;
-  if (options_.enable_progressive) {
-    // No floor: a sub-millisecond inter-arrival (a fast drag) means a
-    // sub-millisecond budget. The executor always completes at least one
-    // pass, so a tiny — even already-expired — budget still yields a
-    // usable approximation instead of a late exact answer.
-    Duration budget =
-        options_.progressive_deadline_ms > 0.0
-            ? Duration::MillisF(options_.progressive_deadline_ms)
-            : s->InterArrival(now).value_or(Duration::Millis(100));
-    if (budget < Duration::Zero()) budget = Duration::Zero();
-    deadline = now + budget;
-
-  }
-
   SubmitOutcome out;
   out.seq = s->RecordSubmit(now);
   if (hot_.submitted != nullptr) hot_.submitted->Increment();
@@ -681,7 +597,6 @@ Result<SubmitOutcome> QueryServer::Submit(uint64_t session_id,
   g.queries = std::move(queries);
   g.on_complete = std::move(on_complete);
   g.capture_results = capture_results;
-  g.deadline = deadline;
   s->queue().push_back(std::move(g));
   ++c.groups_admitted;
   if (hot_.admitted != nullptr) hot_.admitted->Increment();
@@ -1043,226 +958,6 @@ Result<QueryResponse> QueryServer::ExecuteOneSharded(
   return merged;
 }
 
-QueryServer::ProgressiveGroupOutcome QueryServer::ExecuteGroupProgressive(
-    const PendingGroup& group,
-    std::vector<std::optional<QueryResultData>>* capture,
-    std::vector<ApproxResultInfo>* approx) {
-  ProgressiveGroupOutcome out;
-  const size_t nq = group.queries.size();
-  if (capture != nullptr) capture->resize(nq);
-  if (approx != nullptr) approx->resize(nq);
-
-  for (size_t qi = 0; qi < nq; ++qi) {
-    const Query& query = group.queries[qi];
-    // Split what is left of the group budget evenly across the queries
-    // still to run — queue wait already spent its share, intentionally:
-    // the deadline bounds what the *user* waits, not what the backend
-    // works.
-    const SimTime q_start = Now();
-    Duration remaining = group.deadline - q_start;
-    if (remaining < Duration::Zero()) remaining = Duration::Zero();
-    const SimTime q_deadline =
-        q_start + Duration::Micros(remaining.micros() /
-                                   static_cast<int64_t>(nq - qi));
-
-    // Probe the shared cache first (never inserting): a refined or
-    // previously executed exact result beats any fresh approximation.
-    if (result_cache_ != nullptr) {
-      if (auto cached = result_cache_->Lookup(query)) {
-        ++out.executed;
-        ++out.hits;
-        if (capture != nullptr) (*capture)[qi] = std::move(cached->data);
-        continue;  // Exact result; default ApproxResultInfo is correct.
-      }
-    }
-
-    const auto* hq = std::get_if<HistogramQuery>(&query);
-    if (hq == nullptr) {
-      // Non-histogram shapes pass through exactly — progressive
-      // refinement applies to the aggregate views (docs/progressive.md).
-      Span exec(group.trace, SpanKind::kExecute, group.trace.root_span_id);
-      auto r = sharded_ != nullptr
-                   ? ExecuteOneSharded(query, group.trace,
-                                       group.trace.root_span_id)
-                   : engine_->Execute(query);
-      if (r.ok()) {
-        ++out.executed;
-        exec.SetAttrs(r->stats.tuples_scanned, r->stats.blocks_scanned,
-                      r->stats.blocks_pruned);
-        if (capture != nullptr) (*capture)[qi] = std::move(r->data);
-      } else {
-        ++out.failed;
-      }
-      continue;
-    }
-
-    ProgressiveDeadlineOptions popts;
-    popts.deadline = ToSteady(q_deadline);
-    popts.confidence = options_.progressive_confidence;
-    // Vary the block permutation's start per submission so repeated
-    // interactions sample different prefixes.
-    popts.seed = group.seq;
-
-    Span exec(group.trace, SpanKind::kExecute, group.trace.root_span_id);
-    const uint64_t exec_span = exec.id();
-    auto record_passes = [&](const ProgressiveHistogramResult& r,
-                             SimTime call_start, int64_t pass_base) {
-      if (!group.trace.enabled()) return;
-      for (size_t p = 0; p < r.pass_log.size(); ++p) {
-        const ProgressivePassLog& pl = r.pass_log[p];
-        RecordSpan(group.trace, SpanKind::kProgressivePass,
-                   group.trace.buffer->NewSpanId(), exec_span,
-                   call_start.micros() + pl.start_us,
-                   call_start.micros() + pl.end_us,
-                   static_cast<uint32_t>(pass_base + static_cast<int64_t>(p)),
-                   pl.blocks, pl.rows, r.blocks_total);
-      }
-    };
-
-    ApproxResultInfo info;
-    bool ok = true;
-    FixedHistogram merged{*FixedHistogram::Make(0.0, 1.0, 1)};
-    QueryWorkStats stats;
-    if (sharded_ != nullptr) {
-      // Sequential per-shard progressive partials on this worker, every
-      // shard seeing the same *absolute* deadline — shard K never gets
-      // budget shard 1 already spent. Partial estimates are independent
-      // cluster samples, so counts add and variances (half-width
-      // squares) add.
-      auto plan = sharded_->Plan(query);
-      if (!plan.ok()) {
-        ++out.failed;
-        continue;
-      }
-      std::vector<double> counts;
-      std::vector<double> hw2;
-      double fraction_sum = 0.0;
-      int64_t partials = 0;
-      int64_t pass_base = 0;
-      bool any_approx = false;
-      for (const auto& sub : plan->subtasks) {
-        const auto* shard_hq = std::get_if<HistogramQuery>(&sub.query);
-        if (shard_hq == nullptr) {
-          ok = false;
-          break;
-        }
-        const SimTime call_start = Now();
-        auto r = sharded_->shard(sub.shard)->ExecuteHistogramProgressive(
-            *shard_hq, popts);
-        if (!r.ok()) {
-          ok = false;
-          break;
-        }
-        record_passes(*r, call_start, pass_base);
-        pass_base += r->passes;
-        if (counts.empty()) {
-          counts.assign(r->histogram.num_bins(), 0.0);
-          hw2.assign(r->histogram.num_bins(), 0.0);
-        }
-        for (size_t i = 0; i < counts.size(); ++i) {
-          counts[i] += r->histogram.counts()[i];
-          hw2[i] += r->ci_half_width[i] * r->ci_half_width[i];
-        }
-        fraction_sum += r->fraction_rows;
-        ++partials;
-        any_approx = any_approx || r->approximate;
-        out.passes += r->passes;
-        stats.tuples_scanned += r->stats.tuples_scanned;
-        stats.blocks_scanned += r->stats.blocks_scanned;
-        stats.blocks_pruned += r->stats.blocks_pruned;
-      }
-      if (ok && partials > 0) {
-        auto h = FixedHistogram::FromCounts(hq->bin_lo, hq->bin_hi,
-                                            std::move(counts));
-        if (h.ok()) {
-          merged = std::move(*h);
-          info.approximate = any_approx;
-          // Shards are near-equal range partitions, so the unweighted
-          // mean of per-shard fractions tracks the global one.
-          info.fraction_rows = fraction_sum / static_cast<double>(partials);
-          info.confidence = options_.progressive_confidence;
-          info.passes = pass_base;
-          info.ci_half_width.resize(hw2.size());
-          for (size_t i = 0; i < hw2.size(); ++i) {
-            info.ci_half_width[i] = std::sqrt(hw2[i]);
-          }
-        } else {
-          ok = false;
-        }
-      } else {
-        ok = ok && partials > 0;
-      }
-    } else {
-      const SimTime call_start = Now();
-      auto r = engine_->ExecuteHistogramProgressive(*hq, popts);
-      if (r.ok()) {
-        record_passes(*r, call_start, 0);
-        merged = std::move(r->histogram);
-        info.approximate = r->approximate;
-        info.fraction_rows = r->fraction_rows;
-        info.confidence = r->confidence;
-        info.passes = r->passes;
-        info.ci_half_width = std::move(r->ci_half_width);
-        out.passes += r->passes;
-        stats = r->stats;
-      } else {
-        ok = false;
-      }
-    }
-
-    if (!ok) {
-      ++out.failed;
-      continue;
-    }
-    ++out.executed;
-    exec.SetAttrs(stats.tuples_scanned, stats.blocks_scanned,
-                  stats.blocks_pruned);
-    out.fractions.push_back(info.fraction_rows);
-    if (info.approximate) {
-      ++out.deadline_hits;
-      out.refine.push_back(query);
-    }
-    if (capture != nullptr) (*capture)[qi] = std::move(merged);
-    if (approx != nullptr) (*approx)[qi] = std::move(info);
-  }
-  return out;
-}
-
-void QueryServer::RefineLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    refine_cv_.wait(lock,
-                    [this] { return stop_ || !refine_queue_.empty(); });
-    // Drain before exiting: tasks enqueued by the (already joined)
-    // workers still get their exact run.
-    if (refine_queue_.empty()) return;
-    RefineTask task = std::move(refine_queue_.front());
-    refine_queue_.pop_front();
-    // Staleness: if the session has moved on to a newer interaction, the
-    // refined answer would arrive contradicted — an LCV by construction.
-    ServeSession* s = sessions_.Get(task.session_id);
-    if (s == nullptr || s->next_seq() > task.seq + 1) {
-      idle_cv_.notify_all();
-      continue;
-    }
-    ++refine_in_flight_;
-    lock.unlock();
-    // The exact re-execution goes *through* the shared cache: the leader
-    // insert is the publication — the next identical probe hits it.
-    auto r = result_cache_->Execute(task.query, cache_backend_,
-                                    TraceContext{}, /*parent_span_id=*/0);
-    lock.lock();
-    --refine_in_flight_;
-    if (r.ok()) {
-      ++progressive_refinements_;
-      if (hot_.prog_refinements != nullptr) {
-        hot_.prog_refinements->Increment();
-      }
-    }
-    idle_cv_.notify_all();
-  }
-}
-
 void QueryServer::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
@@ -1288,7 +983,7 @@ void QueryServer::WorkerLoop() {
     lock.unlock();
 
     // --- Execution, outside the server lock. The busy flag serializes
-    // all access to this session's cache.
+    // all access to this session's drag base.
     const SimTime start = Now();
     // The wait the user felt before any work began: submit -> dispatch.
     RecordSpan(group.trace, SpanKind::kQueueWait,
@@ -1306,18 +1001,8 @@ void QueryServer::WorkerLoop() {
         static_cast<bool>(group.on_complete) && group.capture_results;
     std::vector<std::optional<QueryResultData>> results;
     if (capture) results.reserve(group.queries.size());
-    std::vector<ApproxResultInfo> approx;
     GroupOutcome sharded_out;
-    ProgressiveGroupOutcome prog;
-    if (options_.enable_progressive) {
-      // Deadline-bounded serving: every histogram runs block-incremental
-      // passes against the group's deadline and may return approximate.
-      prog = ExecuteGroupProgressive(group, capture ? &results : nullptr,
-                                     capture ? &approx : nullptr);
-      executed = prog.executed;
-      failed = prog.failed;
-      hits = prog.hits;
-    } else if (result_cache_ != nullptr) {
+    if (result_cache_ != nullptr) {
       // Shared cache above either backend: one lookup per query; misses
       // run the backend (single-flight) inside the cache. Over the
       // unsharded backend a miss takes the session's drag answer when
@@ -1354,46 +1039,29 @@ void QueryServer::WorkerLoop() {
       executed = sharded_out.executed;
       failed = sharded_out.failed;
     } else {
-      // Without a session cache the worker takes the session's drag
+      // Without the shared cache the worker takes the session's drag
       // answer when there is one.
-      const bool drag = s->cache() == nullptr;
-      std::optional<std::vector<QueryResponse>> answers;
-      if (drag) answers = AnswerDrag(s, group.queries);
+      std::optional<std::vector<QueryResponse>> answers =
+          AnswerDrag(s, group.queries);
       DragBaseBuilder next;
       for (size_t qi = 0; qi < group.queries.size(); ++qi) {
-        const Query& query = group.queries[qi];
         Span exec(group.trace, SpanKind::kExecute,
                   group.trace.root_span_id);
-        if (s->cache() != nullptr) {
-          auto r = s->cache()->Execute(query);
-          if (r.ok()) {
-            ++executed;
-            hits += r->cache_hit;
-            exec.SetAttrs(r->response.stats.tuples_scanned,
-                          r->response.stats.blocks_scanned,
-                          r->response.stats.blocks_pruned);
-            if (capture) results.emplace_back(r->response.data);
-          } else {
-            ++failed;
-            if (capture) results.emplace_back(std::nullopt);
-          }
+        auto r = answers ? Result<QueryResponse>(std::move((*answers)[qi]))
+                         : ExecuteUnsharded(group.queries[qi]);
+        if (r.ok()) {
+          ++executed;
+          exec.SetAttrs(r->stats.tuples_scanned, r->stats.blocks_scanned,
+                        r->stats.blocks_pruned);
+          next.Add(&r->data);
+          if (capture) results.emplace_back(std::move(r->data));
         } else {
-          auto r = answers ? Result<QueryResponse>(std::move((*answers)[qi]))
-                           : ExecuteUnsharded(query);
-          if (r.ok()) {
-            ++executed;
-            exec.SetAttrs(r->stats.tuples_scanned, r->stats.blocks_scanned,
-                          r->stats.blocks_pruned);
-            next.Add(&r->data);
-            if (capture) results.emplace_back(std::move(r->data));
-          } else {
-            ++failed;
-            next.Add(nullptr);
-            if (capture) results.emplace_back(std::nullopt);
-          }
+          ++failed;
+          next.Add(nullptr);
+          if (capture) results.emplace_back(std::nullopt);
         }
       }
-      if (drag) next.Finish(&group.queries, &s->drag_base());
+      next.Finish(&group.queries, &s->drag_base());
     }
     const SimTime finish = Now();
     metrics_.RecordGroupComplete(finish, finish - group.submit_time,
@@ -1403,10 +1071,8 @@ void QueryServer::WorkerLoop() {
       hot_.service_ms->Record((finish - start).millis());
     }
     // With the shared cache the backend runs inside the cache, so phase
-    // attribution collapses into `execute` even over a sharded backend
-    // (progressive groups likewise run their shard partials inline).
-    if (sharded_ != nullptr && result_cache_ == nullptr &&
-        !options_.enable_progressive) {
+    // attribution collapses into `execute` even over a sharded backend.
+    if (sharded_ != nullptr && result_cache_ == nullptr) {
       metrics_.RecordPhases(sharded_out.scatter, sharded_out.execute,
                             sharded_out.merge);
     } else {
@@ -1431,25 +1097,6 @@ void QueryServer::WorkerLoop() {
       hot_.cache_hits->Increment(hits);
       if (lcv) hot_.lcv_violations->Increment();
     }
-    if (options_.enable_progressive) {
-      progressive_passes_ += prog.passes;
-      progressive_deadline_hits_ += prog.deadline_hits;
-      for (double f : prog.fractions) progressive_fraction_sum_ += f;
-      progressive_fraction_count_ +=
-          static_cast<int64_t>(prog.fractions.size());
-      if (hot_.prog_passes != nullptr) {
-        hot_.prog_passes->Increment(prog.passes);
-        hot_.prog_deadline_hits->Increment(prog.deadline_hits);
-        for (double f : prog.fractions) hot_.prog_rows_fraction->Record(f);
-      }
-      if (!prog.refine.empty() && refine_thread_.joinable()) {
-        for (Query& q : prog.refine) {
-          refine_queue_.push_back(RefineTask{s->id(), group.seq,
-                                             std::move(q)});
-        }
-        refine_cv_.notify_all();
-      }
-    }
     // The group reached its terminal state: close the root span opened at
     // Submit, and offer the interaction to the slow-query log.
     RecordSpan(group.trace, SpanKind::kGroup, group.trace.root_span_id,
@@ -1473,8 +1120,7 @@ void QueryServer::WorkerLoop() {
       rec.lcv = lcv;
       slow_log_->MaybeRecord(rec);
     }
-    if (sharded_ != nullptr && result_cache_ == nullptr &&
-        !options_.enable_progressive) {
+    if (sharded_ != nullptr && result_cache_ == nullptr) {
       controller_.OnCompleteSharded(finish, finish - start,
                                     sharded_out.shard_exec_mean,
                                     sharded_out.merge);
@@ -1499,7 +1145,6 @@ void QueryServer::WorkerLoop() {
       done.service = finish - start;
       done.latency = finish - group.submit_time;
       done.results = std::move(results);
-      done.approx = std::move(approx);
       group.on_complete(std::move(done));
     }
     s->set_busy(false);
@@ -1513,7 +1158,6 @@ void QueryServer::Drain() {
   std::unique_lock<std::mutex> lock(mu_);
   idle_cv_.wait(lock, [this] {
     if (in_flight_ > 0) return false;
-    if (!refine_queue_.empty() || refine_in_flight_ > 0) return false;
     for (const auto& s : sessions_.sessions()) {
       if (!s->queue().empty()) return false;
     }
@@ -1539,10 +1183,6 @@ void QueryServer::Stop() {
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
-  // The refiner next: it drains its queue on stop and its exact
-  // re-executions may still need the shard pool below.
-  refine_cv_.notify_all();
-  if (refine_thread_.joinable()) refine_thread_.join();
   {
     std::lock_guard<std::mutex> lock(shard_mu_);
     shard_stop_ = true;
@@ -1576,17 +1216,6 @@ ServerStatsSnapshot QueryServer::Snapshot(bool with_attribution) {
       snap.groups_queued += row.queued;
       snap.queue_hwm = std::max(snap.queue_hwm, row.queue_hwm);
       snap.sessions.push_back(std::move(row));
-    }
-    if (options_.enable_progressive) {
-      snap.progressive_enabled = true;
-      snap.progressive_passes = progressive_passes_;
-      snap.progressive_deadline_hits = progressive_deadline_hits_;
-      snap.progressive_refinements = progressive_refinements_;
-      snap.progressive_rows_fraction_mean =
-          progressive_fraction_count_ > 0
-              ? progressive_fraction_sum_ /
-                    static_cast<double>(progressive_fraction_count_)
-              : 0.0;
     }
     snap.load = controller_.Assess(now);
   }

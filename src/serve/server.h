@@ -47,45 +47,14 @@ struct ServerOptions {
   /// loop) and rejects with backpressure past `reject_factor`.
   bool adaptive_admission = false;
   AdmissionOptions admission;
-  /// Per-session exact-match result reuse (§2.4) — the baseline the
-  /// shared cache below supersedes. Incompatible with a sharded backend
-  /// (its miss path owns a single engine) and with `enable_shared_cache`;
-  /// use the shared cache for either.
-  bool enable_session_cache = false;
-  int64_t session_cache_capacity = 256;
   /// Shared cross-session result cache (`serve/result_cache.h`): one
   /// invalidation-aware, sharded LRU above the backend — any session's
   /// execution serves every other session's equivalent query, and
   /// concurrent identical misses coalesce into one backend run. Works
-  /// over both backends (it sits *above* `ShardedEngine`'s scatter/merge,
-  /// lifting the session cache's single-engine restriction). Mutually
-  /// exclusive with `enable_session_cache`.
+  /// over both backends (it sits *above* `ShardedEngine`'s scatter/merge).
   bool enable_shared_cache = false;
   int64_t shared_cache_bytes = 64 << 20;
   int shared_cache_shards = 16;
-  /// Deadline-aware progressive serving (docs/progressive.md): every
-  /// admitted group carries a deadline derived from its session's
-  /// inter-arrival interval (the LCV budget — a result is useful only
-  /// until the user's next interaction). Histogram queries execute as
-  /// block-incremental passes and return the current approximate answer
-  /// *with per-bin confidence intervals* when the deadline fires; other
-  /// query shapes pass through exactly. Incompatible with
-  /// `enable_session_cache` (the progressive path owns its own cache
-  /// interaction; layer `enable_shared_cache` instead).
-  bool enable_progressive = false;
-  /// Fixed per-group deadline budget in milliseconds when > 0; 0 derives
-  /// the budget from the session's inter-arrival interval (first group of
-  /// a session: 100 ms). The effective budget is floored at 1 ms.
-  double progressive_deadline_ms = 0.0;
-  /// Confidence level of the per-bin intervals, in (0, 1).
-  double progressive_confidence = 0.95;
-  /// Refine deadline-expired approximate answers in the background while
-  /// the user dwells: a dedicated thread re-executes them exactly through
-  /// the shared `ResultCache`, so the refined result is published for the
-  /// next identical lookup. Requires `enable_shared_cache` (silently
-  /// inert without it — there is nowhere to publish). Tasks whose session
-  /// has already moved on (a newer submission exists) are skipped.
-  bool progressive_refine = true;
   /// Dedicated shard-executor threads for the sharded `Create` overload;
   /// 0 = one per shard. Ignored for an unsharded server.
   int shard_workers = 0;
@@ -231,9 +200,7 @@ class QueryServer {
 
   /// Sharded variant: groups scatter across `sharded`'s shards and merge
   /// before completing. `sharded` must outlive the server, have all
-  /// tables partitioned/replicated, and is used read-only. Rejects
-  /// `enable_session_cache` (see `ServerOptions`); the shared cache is
-  /// the supported result reuse over a sharded backend.
+  /// tables partitioned/replicated, and is used read-only.
   static Result<std::unique_ptr<QueryServer>> Create(
       const ShardedEngine* sharded, ServerOptions options);
 
@@ -453,47 +420,6 @@ class QueryServer {
   /// false when no scan needs help. Caller holds `*lock` (on `mu_`).
   bool HelpPostedScan(std::unique_lock<std::mutex>* lock);
 
-  /// Per-group tally of a progressive execution, folded into the
-  /// counters/registry under `mu_` after the group completes.
-  struct ProgressiveGroupOutcome {
-    int64_t executed = 0;
-    int64_t failed = 0;
-    int64_t hits = 0;           ///< Shared-cache probe hits.
-    int64_t passes = 0;         ///< Block-incremental passes, all queries.
-    int64_t deadline_hits = 0;  ///< Queries that returned approximate.
-    /// One fraction-of-rows-resolved observation per progressive query
-    /// (feeds the `ideval_progressive_rows_fraction` histogram).
-    std::vector<double> fractions;
-    /// Queries whose answer went out approximate — candidates for
-    /// background refinement through the shared cache.
-    std::vector<Query> refine;
-  };
-
-  /// Runs one admitted group in progressive mode (docs/progressive.md):
-  /// per query, probe the shared cache (never inserting), split the
-  /// remaining group budget evenly across the queries still to run, and
-  /// execute histograms block-incrementally against that deadline —
-  /// sequentially across shards on a sharded backend, all shards sharing
-  /// the same absolute deadline. Non-histogram queries execute exactly.
-  /// Called by a group worker outside the server lock.
-  ProgressiveGroupOutcome ExecuteGroupProgressive(
-      const PendingGroup& group,
-      std::vector<std::optional<QueryResultData>>* capture,
-      std::vector<ApproxResultInfo>* approx);
-
-  /// One deadline-expired approximate answer awaiting exact re-execution.
-  struct RefineTask {
-    uint64_t session_id = 0;
-    uint64_t seq = 0;  ///< The submission whose answer was approximate.
-    Query query;
-  };
-
-  /// Background-refinement thread body: drains `refine_queue_`, skipping
-  /// stale tasks (session moved on), and re-executes the rest exactly
-  /// through the shared `ResultCache` (the publication mechanism — the
-  /// next identical probe hits the refined entry).
-  void RefineLoop();
-
   /// Emits the instant kAdmission span for a submission and, when the
   /// verdict is terminal (shed or rejected at the door), closes the root
   /// group span too. No-op when tracing is off.
@@ -563,12 +489,6 @@ class QueryServer {
     Counter* lcv_violations = nullptr;
     Histogram* latency_ms = nullptr;
     Histogram* service_ms = nullptr;
-    // Progressive family (registered with the rest; zero when the mode
-    // is off so the exposition schema stays stable).
-    Counter* prog_passes = nullptr;
-    Counter* prog_deadline_hits = nullptr;
-    Counter* prog_refinements = nullptr;
-    Histogram* prog_rows_fraction = nullptr;
     // Morsel family (docs/kernels.md) — zero on single-worker and
     // sharded servers, same stable-schema discipline.
     Counter* morsel_morsels = nullptr;
@@ -622,17 +542,6 @@ class QueryServer {
   std::unique_ptr<TraceBuffer> trace_;
   std::unique_ptr<SlowQueryLog> slow_log_;
   std::vector<std::thread> workers_;
-
-  // --- Progressive mode (guarded by mu_ unless noted). ---
-  int64_t progressive_passes_ = 0;
-  int64_t progressive_deadline_hits_ = 0;
-  int64_t progressive_refinements_ = 0;
-  double progressive_fraction_sum_ = 0.0;
-  int64_t progressive_fraction_count_ = 0;
-  std::deque<RefineTask> refine_queue_;
-  int64_t refine_in_flight_ = 0;
-  std::condition_variable refine_cv_;  ///< Wakes the refinement thread.
-  std::thread refine_thread_;  ///< Joinable iff refinement is enabled.
 
   /// Morsels claimed by helpers of posted scans, and scans posted.
   /// Relaxed atomics read by `Snapshot` — no ordering against anything.

@@ -182,14 +182,6 @@ std::string ServerStatsSnapshot::ToText() const {
   if (slow_log_enabled) {
     global.AddCountRow("slow queries logged", {slow_queries_logged});
   }
-  if (progressive_enabled) {
-    global.AddCountRow(
-        "progressive passes / deadline hits / refinements",
-        {progressive_passes, progressive_deadline_hits,
-         progressive_refinements});
-    global.AddRow({"progressive rows-seen fraction (mean)",
-                   StrFormat("%.3f", progressive_rows_fraction_mean)});
-  }
   if (net_enabled) {
     global.AddCountRow("net bytes sent / received",
                        {net.bytes_sent, net.bytes_received});

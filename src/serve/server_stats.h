@@ -151,20 +151,6 @@ struct ServerStatsSnapshot {
   bool slow_log_enabled = false;
   int64_t slow_queries_logged = 0;
 
-  /// Progressive serving counters (`enable_progressive` servers only,
-  /// docs/progressive.md). After a drain: `progressive_deadline_hits`
-  /// counts queries that returned an approximate result because their
-  /// deadline fired, `progressive_passes` the block-incremental passes
-  /// behind all progressive executions, `progressive_refinements` the
-  /// background exact refinements published into the shared cache, and
-  /// `progressive_rows_fraction_mean` the mean fraction of table rows
-  /// resolved at completion (1.0 = everything ran exact).
-  bool progressive_enabled = false;
-  int64_t progressive_passes = 0;
-  int64_t progressive_deadline_hits = 0;
-  int64_t progressive_refinements = 0;
-  double progressive_rows_fraction_mean = 0.0;
-
   /// SIMD kernel / elastic-morsel state (docs/kernels.md).
   /// `kernel_isa` names the kernel table the backend resolved at
   /// startup ("scalar", "sse4.2", "avx2" — identical results, different

@@ -15,7 +15,6 @@
 #include "engine/engine.h"
 #include "engine/query.h"
 #include "obs/trace.h"
-#include "opt/session_cache.h"
 #include "serve/server_stats.h"
 
 namespace ideval {
@@ -27,24 +26,6 @@ namespace ideval {
 /// The socket front-end (`src/net/net_server.h`) turns these into
 /// response frames; in-process callers (tests, the load driver) never pay
 /// for them because the callback and the result capture are both opt-in.
-/// Per-query approximation report for progressive serving
-/// (`ServerOptions::enable_progressive`, docs/progressive.md). Parallel to
-/// `GroupCompletion::results`: entry `i` describes how result `i` was
-/// produced. An exact result (deadline never fired, or a non-histogram
-/// query) reports `approximate == false` with zero half-widths.
-struct ApproxResultInfo {
-  bool approximate = false;
-  /// Fraction of table rows resolved (scanned + zone-map-pruned) when the
-  /// result was returned; 1.0 for exact results.
-  double fraction_rows = 1.0;
-  /// Confidence level of the half-widths below (0 for exact results).
-  double confidence = 0.0;
-  int64_t passes = 0;  ///< Block-incremental passes executed.
-  /// Per-bin confidence-interval half-widths in count units; empty for
-  /// non-histogram results, all-zero for exact histogram results.
-  std::vector<double> ci_half_width;
-};
-
 struct GroupCompletion {
   uint64_t session_id = 0;
   uint64_t seq = 0;  ///< Per-session submission sequence number.
@@ -69,10 +50,6 @@ struct GroupCompletion {
   /// callback's presence, so callback-free submissions never copy
   /// results). A failed query leaves its slot empty.
   std::vector<std::optional<QueryResultData>> results;
-  /// Progressive mode only: per-query approximation info, parallel to
-  /// `results` (empty otherwise). Every approximate completion carries
-  /// its error bounds here.
-  std::vector<ApproxResultInfo> approx;
 };
 
 /// Invoked exactly once per admitted group at its terminal state. Runs
@@ -96,18 +73,13 @@ struct PendingGroup {
   /// When false, the callback still fires with full timing/terminal
   /// accounting but per-query result payloads are not copied into it.
   bool capture_results = true;
-  /// Progressive mode only: the absolute point by which this group's
-  /// results should be in the user's hands — submit time plus the
-  /// session's inter-arrival budget (queue wait spends the budget too).
-  SimTime deadline;
 };
 
 /// One client's server-side state: a bounded request queue, live QIF
-/// window, LCV bookkeeping, counters, and an optional exact-match result
-/// cache (§2.4 session reuse).
+/// window, LCV bookkeeping, counters, and the drag base.
 ///
-/// Thread safety: all fields except `cache` and `drag_base` are guarded
-/// by the owning `QueryServer`'s lock. Those two are touched only by the
+/// Thread safety: all fields except `drag_base` are guarded by the
+/// owning `QueryServer`'s lock. The drag base is touched only by the
 /// worker that holds this session's `busy` flag; the flag itself is
 /// flipped under the server lock, which establishes the necessary
 /// happens-before edges.
@@ -147,26 +119,8 @@ class ServeSession {
   void set_closed(bool c) { closed_ = c; }
   SimTime last_submit() const { return last_submit_; }
 
-  /// Time since this session's previous submission — the LCV budget the
-  /// progressive deadline derives from — or nullopt on the first one.
-  /// Must be read *before* `RecordSubmit` stamps the current submission.
-  std::optional<Duration> InterArrival(SimTime now) const {
-    if (next_seq_ == 0) return std::nullopt;
-    return now - last_submit_;
-  }
-
-  /// Sequence numbers issued so far (the latest issued seq is
-  /// `next_seq() - 1`). Background refinement uses this as its staleness
-  /// check: a task for seq s is stale once `next_seq() > s + 1`.
-  uint64_t next_seq() const { return next_seq_; }
-
   std::optional<SimTime> last_admitted() const { return last_admitted_; }
   void set_last_admitted(SimTime t) { last_admitted_ = t; }
-
-  SessionCache* cache() { return cache_.get(); }
-  void set_cache(std::unique_ptr<SessionCache> cache) {
-    cache_ = std::move(cache);
-  }
 
   /// The last executed group, if all its queries were histograms, with
   /// their exact counts: the base the next group's drag answer starts
@@ -189,7 +143,6 @@ class ServeSession {
   std::deque<std::pair<uint64_t, SimTime>> recent_submits_;
   int64_t queue_hwm_ = 0;
   SessionCounters counters_;
-  std::unique_ptr<SessionCache> cache_;
   HistogramGroupCounts drag_base_;
 };
 

@@ -73,8 +73,8 @@ serve = load(serve_path)
 assert serve["schema"] == "ideval.bench.serve.v1", serve.get("schema")
 assert serve["bench"] == "bench_serve_saturation"
 for key in ("config", "build", "overhead", "net", "attribution",
-            "coordinated_omission", "headline", "progressive",
-            "slo", "series", "metrics"):
+            "coordinated_omission", "headline", "slo", "series",
+            "metrics"):
     assert key in serve, f"serve export missing {key}"
 for key in ("workers", "clients", "shards", "policy", "shared_cache",
             "zone_maps", "smoke", "rows", "moves", "time_compression",
@@ -223,56 +223,6 @@ for p in ("p50", "p90", "p99", "max"):
 print(f"  info coordinated omission: send p99 {co['send_p99_ms']:.2f} ms "
       f"vs intended p99 {co['intended_p99_ms']:.2f} ms "
       f"(lag p99 {co['lag_p99_ms']:.2f} ms)")
-
-# --------------------------- progressive ---------------------------
-# The deadline-bounded A/B run plus the engine deadline sweep
-# (docs/progressive.md). Values are machine-dependent; structure, ranges,
-# and counter reconciliation against the embedded exposition are not.
-prog = serve["progressive"]
-for key in ("deadline_ms", "baseline_lcv_fraction", "baseline_qif_qps",
-            "lcv_fraction", "qif_qps", "throughput_qps", "latency_p90_ms",
-            "groups_executed", "passes", "deadline_hits", "refinements",
-            "rows_fraction_mean", "deadline_sweep", "metrics"):
-    assert key in prog, f"progressive section missing {key}"
-for key in ("deadline_ms", "baseline_lcv_fraction", "baseline_qif_qps",
-            "lcv_fraction", "qif_qps", "throughput_qps", "latency_p90_ms",
-            "groups_executed", "passes", "deadline_hits", "refinements",
-            "rows_fraction_mean"):
-    finite(prog[key], f"progressive.{key}")
-assert prog["groups_executed"] > 0, "progressive run executed no groups"
-assert prog["passes"] >= 1, "progressive run logged no passes"
-assert prog["deadline_hits"] >= 0 and prog["refinements"] >= 0
-assert 0.0 < prog["rows_fraction_mean"] <= 1.0, prog["rows_fraction_mean"]
-for key in ("lcv_fraction", "baseline_lcv_fraction"):
-    assert 0.0 <= prog[key] <= 1.0, f"progressive.{key} out of range"
-print(f"  info progressive: lcv {prog['lcv_fraction']:.3f} vs baseline "
-      f"{prog['baseline_lcv_fraction']:.3f}, rows fraction "
-      f"{prog['rows_fraction_mean']:.3f}, {prog['deadline_hits']} "
-      f"deadline hits")
-
-sweep = prog["deadline_sweep"]
-assert sweep, "empty deadline_sweep"
-for p in sweep:
-    for key in ("budget_us", "rows_fraction", "mean_rel_error", "passes"):
-        finite(p[key], f"deadline_sweep.{key}")
-    assert 0.0 < p["rows_fraction"] <= 1.0, p
-    assert p["mean_rel_error"] >= 0.0 and p["passes"] >= 1, p
-unbounded = [p for p in sweep if p["budget_us"] == 0]
-assert unbounded, "deadline_sweep has no unbounded (budget 0) point"
-for p in unbounded:  # Unbounded runs are the exact path, bit for bit.
-    assert p["rows_fraction"] == 1.0 and p["mean_rel_error"] == 0.0, p
-
-prog_names = check_metrics_block(prog, "progressive")
-prog_by_name = {m["name"]: m for m in prog["metrics"]["metrics"]}
-for counter_name, section_key in (
-        ("ideval_progressive_passes_total", "passes"),
-        ("ideval_progressive_deadline_hits_total", "deadline_hits"),
-        ("ideval_progressive_refinements_total", "refinements")):
-    assert counter_name in prog_names, f"missing {counter_name}"
-    assert prog_by_name[counter_name]["value"] == prog[section_key], \
-        f"{counter_name}: exposition != progressive.{section_key}"
-frac_hist = prog_by_name["ideval_progressive_rows_fraction"]
-assert frac_hist["count"] > 0, "no rows-fraction observations"
 
 series = serve["series"]
 assert series["period_ms"] > 0

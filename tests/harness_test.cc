@@ -49,6 +49,14 @@ TEST(WorkloadSpecTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseWorkloadSpec("nonsense_key = 1").ok());
   EXPECT_FALSE(ParseWorkloadSpec("no equals sign here").ok());
   EXPECT_FALSE(ParseWorkloadSpec("throttle_ms = -5").ok());
+  // Knobs of removed serve modes are unknown keys, named in the error.
+  for (const char* key :
+       {"serve_progressive", "serve_deadline_ms", "serve_cache"}) {
+    auto spec = ParseWorkloadSpec(std::string(key) + " = 1");
+    ASSERT_FALSE(spec.ok()) << key;
+    EXPECT_NE(spec.status().ToString().find(key), std::string::npos)
+        << spec.status().ToString();
+  }
 }
 
 TEST(WorkloadSpecTest, RejectsDuplicateKeysNamingTheLine) {
@@ -68,7 +76,6 @@ serve_clients = 5
 serve_queue_cap = 16
 admission = debounce
 adaptive_admission = true
-serve_cache = true
 time_compression = 80
 )";
   auto spec = ParseWorkloadSpec(text);
@@ -78,7 +85,6 @@ time_compression = 80
   EXPECT_EQ(spec->serve_queue_cap, 16);
   EXPECT_EQ(spec->admission, AdmissionPolicy::kDebounce);
   EXPECT_TRUE(spec->adaptive_admission);
-  EXPECT_TRUE(spec->serve_cache);
   EXPECT_DOUBLE_EQ(spec->time_compression, 80.0);
 
   EXPECT_FALSE(ParseWorkloadSpec("admission = yolo").ok());
@@ -163,7 +169,6 @@ TEST(WorkloadSpecTest, RoundTripsThroughText) {
   spec.serve_queue_cap = 12;
   spec.admission = AdmissionPolicy::kSkipStale;
   spec.adaptive_admission = true;
-  spec.serve_cache = true;
   spec.time_compression = 25.0;
   spec.serve_trace = true;
   spec.serve_trace_buffer_spans = 2048;
@@ -172,8 +177,6 @@ TEST(WorkloadSpecTest, RoundTripsThroughText) {
   spec.serve_stats_poll_ms = 100.0;
   spec.serve_net = true;
   spec.serve_net_port = 4242;
-  spec.serve_progressive = true;
-  spec.serve_deadline_ms = 2.5;
   auto parsed = ParseWorkloadSpec(WorkloadSpecToText(spec));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->name, spec.name);
@@ -189,7 +192,6 @@ TEST(WorkloadSpecTest, RoundTripsThroughText) {
   EXPECT_EQ(parsed->serve_queue_cap, spec.serve_queue_cap);
   EXPECT_EQ(parsed->admission, spec.admission);
   EXPECT_EQ(parsed->adaptive_admission, spec.adaptive_admission);
-  EXPECT_EQ(parsed->serve_cache, spec.serve_cache);
   EXPECT_DOUBLE_EQ(parsed->time_compression, spec.time_compression);
   EXPECT_EQ(parsed->serve_trace, spec.serve_trace);
   EXPECT_EQ(parsed->serve_trace_buffer_spans, spec.serve_trace_buffer_spans);
@@ -198,21 +200,6 @@ TEST(WorkloadSpecTest, RoundTripsThroughText) {
   EXPECT_DOUBLE_EQ(parsed->serve_stats_poll_ms, spec.serve_stats_poll_ms);
   EXPECT_EQ(parsed->serve_net, spec.serve_net);
   EXPECT_EQ(parsed->serve_net_port, spec.serve_net_port);
-  EXPECT_EQ(parsed->serve_progressive, spec.serve_progressive);
-  EXPECT_DOUBLE_EQ(parsed->serve_deadline_ms, spec.serve_deadline_ms);
-}
-
-TEST(WorkloadSpecTest, ParsesProgressiveKnobs) {
-  auto spec = ParseWorkloadSpec(
-      "serve_progressive = true\nserve_deadline_ms = 1.5");
-  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-  EXPECT_TRUE(spec->serve_progressive);
-  EXPECT_DOUBLE_EQ(spec->serve_deadline_ms, 1.5);
-  // Defaults: off, adaptive (inter-arrival) budget.
-  WorkloadSpec defaults;
-  EXPECT_FALSE(defaults.serve_progressive);
-  EXPECT_DOUBLE_EQ(defaults.serve_deadline_ms, 0.0);
-  EXPECT_FALSE(ParseWorkloadSpec("serve_progressive = maybe").ok());
 }
 
 // ----------------------------- Runner smoke -----------------------------

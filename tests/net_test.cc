@@ -298,123 +298,127 @@ TEST(CodecTest, CompletionRoundTripWithResults) {
   }
 }
 
-TEST(CodecTest, ApproxCompletionRoundTripV2) {
-  // The wire-v2 extension (progressive serving): a completion carries one
-  // ApproxResultInfo per result slot.
+TEST(CodecTest, V1CompletionEncodingIsUnchanged) {
+  // Frozen bytes: a v1 completion frame (rows, a failed slot, a
+  // histogram) as every wire peer encodes it. Any change here breaks
+  // deployed peers.
   CompletionPayload done;
-  done.seq = 4;
+  done.seq = 9;
   done.terminal = GroupTerminal::kExecuted;
+  done.lcv = true;
   done.queries_executed = 2;
-  auto hist = FixedHistogram::FromCounts(0.0, 1.0, {10.0, 20.5, 30.0});
+  done.queries_failed = 1;
+  done.cache_hits = 1;
+  done.queue_wait_us = 1500;
+  done.service_us = 800;
+  done.latency_us = 2300;
+  RowSet rows;
+  rows.column_names = {"title", "year"};
+  rows.rows.push_back({Value("Heat"), Value(int64_t{1995})});
+  done.results.emplace_back(rows);
+  done.results.emplace_back(std::nullopt);  // A failed query's slot.
+  auto hist = FixedHistogram::FromCounts(0.0, 10.0, {1.0, 5.5});
   ASSERT_TRUE(hist.ok());
   done.results.emplace_back(*hist);
-  done.results.emplace_back(std::nullopt);
-  ApproxResultInfo info;
-  info.approximate = true;
-  info.fraction_rows = 0.4375;
-  info.confidence = 0.95;
-  info.passes = 3;
-  info.ci_half_width = {12.5, 8.0, 0.25};
-  done.approx.push_back(info);
-  done.approx.push_back(ApproxResultInfo{});  // The failed slot: exact/empty.
+  std::vector<uint8_t> completion;
+  WireWriter wc(&completion);
+  const size_t fc = wc.BeginFrame(Opcode::kGroupComplete, 7, 11);
+  EncodeCompletion(&wc, done);
+  wc.EndFrame(fc);
+  const std::vector<uint8_t> golden_completion = {
+      0x1d, 0xd1, 0x01, 0x14, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x0b, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x96, 0x00, 0x00, 0x00,
+      0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x02, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xdc, 0x05,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x20, 0x03, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0xfc, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00,
+      0x00, 0x00, 0x01, 0x01, 0x02, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,
+      0x74, 0x69, 0x74, 0x6c, 0x65, 0x04, 0x00, 0x00, 0x00, 0x79, 0x65, 0x61,
+      0x72, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x04, 0x00,
+      0x00, 0x00, 0x48, 0x65, 0x61, 0x74, 0x01, 0xcb, 0x07, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x01, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x24, 0x40, 0x02, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x16, 0x40};
+  EXPECT_EQ(completion, golden_completion);
 
-  std::vector<uint8_t> buf;
-  WireWriter w(&buf);
-  EncodeCompletion(&w, done, kWireVersionApprox);
-  WireReader r(buf.data(), buf.size());
-  auto decoded = DecodeCompletion(&r, kWireVersionApprox);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_TRUE(r.Done());
-  ASSERT_EQ(decoded->approx.size(), 2u);
-  EXPECT_TRUE(decoded->approx[0].approximate);
-  EXPECT_DOUBLE_EQ(decoded->approx[0].fraction_rows, 0.4375);
-  EXPECT_DOUBLE_EQ(decoded->approx[0].confidence, 0.95);
-  EXPECT_EQ(decoded->approx[0].passes, 3);
-  EXPECT_EQ(decoded->approx[0].ci_half_width, info.ci_half_width);
-  EXPECT_FALSE(decoded->approx[1].approximate);
-  EXPECT_TRUE(decoded->approx[1].ci_half_width.empty());
-  ASSERT_EQ(decoded->results.size(), 2u);
-  EXPECT_EQ(std::get<FixedHistogram>(*decoded->results[0]), *hist);
-
-  // A v1 reader must not consume the approx block: decoding the same
-  // bytes at version 1 stops early, leaving trailing payload.
-  WireReader r1(buf.data(), buf.size());
-  auto v1 = DecodeCompletion(&r1, kWireVersion);
-  ASSERT_TRUE(v1.ok());
-  EXPECT_TRUE(v1->approx.empty());
-  EXPECT_FALSE(r1.Done());
-
-  // Truncation sweep over the v2 payload.
-  for (size_t len = 0; len < buf.size(); ++len) {
-    WireReader rt(buf.data(), len);
-    auto d = DecodeCompletion(&rt, kWireVersionApprox);
-    EXPECT_FALSE(d.ok() && rt.Done()) << "prefix " << len;
+  // The frame decodes back, and the completion reads the same under
+  // either understood version.
+  FrameHeader h;
+  ASSERT_TRUE(DecodeFrameHeader(completion.data(), completion.size(), &h));
+  for (uint8_t version : {kWireVersion, kWireVersionTrace}) {
+    WireReader r(completion.data() + kWireHeaderBytes, h.payload_len);
+    auto decoded = DecodeCompletion(&r, version);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_TRUE(r.Done());
+    ASSERT_EQ(decoded->results.size(), 3u);
+    EXPECT_EQ(std::get<RowSet>(*decoded->results[0]), rows);
+    EXPECT_FALSE(decoded->results[1].has_value());
+    EXPECT_EQ(std::get<FixedHistogram>(*decoded->results[2]), *hist);
   }
 }
 
-TEST(CodecTest, V1CompletionEncodingIsUnchanged) {
-  // Back-compat: the one-arg encoder and an explicit version-1 encode are
-  // byte-identical, and a v2 encode of an approx-free completion only
-  // appends the empty count.
-  CompletionPayload done;
-  done.seq = 6;
-  done.terminal = GroupTerminal::kExecuted;
-  done.queries_executed = 1;
-  auto hist = FixedHistogram::FromCounts(0.0, 1.0, {2.0});
-  ASSERT_TRUE(hist.ok());
-  done.results.emplace_back(*hist);
+TEST(CodecTest, V3SubmitEncodingIsUnchanged) {
+  // Frozen bytes: a v3 traced submit frame as every traced client
+  // encodes it.
+  HistogramQuery q;
+  q.table = "road";
+  q.bin_column = "y";
+  q.bin_lo = -0.5;
+  q.bin_hi = 2.25;
+  q.bins = 4;
+  q.predicates = {RangePredicate{"x", -1.5, 8.0}};
+  std::vector<uint8_t> submit;
+  WireWriter ws(&submit);
+  const size_t fs =
+      ws.BeginFrame(Opcode::kSubmitGroup, 7, 12, kWireVersionTrace);
+  ws.U64(0x0123456789abcdefULL);  // The client's trace id leads in v3.
+  EncodeQueryGroup(&ws, {Query(q)});
+  ws.EndFrame(fs);
+  const std::vector<uint8_t> golden_submit = {
+      0x1d, 0xd1, 0x03, 0x04, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x0c, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x4c, 0x00, 0x00, 0x00,
+      0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01, 0x01, 0x00, 0x00, 0x00,
+      0x02, 0x04, 0x00, 0x00, 0x00, 0x72, 0x6f, 0x61, 0x64, 0x01, 0x00, 0x00,
+      0x00, 0x79, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0xbf, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x02, 0x40, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x00, 0x00, 0x78,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0xbf, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x20, 0x40};
+  EXPECT_EQ(submit, golden_submit);
 
-  std::vector<uint8_t> legacy, v1, v2;
-  WireWriter wl(&legacy), w1(&v1), w2(&v2);
-  EncodeCompletion(&wl, done);
-  EncodeCompletion(&w1, done, kWireVersion);
-  EncodeCompletion(&w2, done, kWireVersionApprox);
-  EXPECT_EQ(legacy, v1);
-  ASSERT_EQ(v2.size(), v1.size() + 4);  // Trailing u32 approx count == 0.
-  EXPECT_TRUE(std::equal(v1.begin(), v1.end(), v2.begin()));
-
-  WireReader r(v2.data(), v2.size());
-  auto decoded = DecodeCompletion(&r, kWireVersionApprox);
-  ASSERT_TRUE(decoded.ok());
+  FrameHeader h;
+  ASSERT_TRUE(DecodeFrameHeader(submit.data(), submit.size(), &h));
+  EXPECT_EQ(h.version, kWireVersionTrace);
+  WireReader r(submit.data() + kWireHeaderBytes, h.payload_len);
+  EXPECT_EQ(r.U64(), 0x0123456789abcdefULL);
+  auto queries = DecodeQueryGroup(&r);
+  ASSERT_TRUE(queries.ok()) << queries.status().ToString();
   EXPECT_TRUE(r.Done());
-  EXPECT_TRUE(decoded->approx.empty());
+  ASSERT_EQ(queries->size(), 1u);
+  EXPECT_EQ(std::get<HistogramQuery>((*queries)[0]), q);
 }
 
-TEST(CodecTest, ApproxCountMismatchIsMalformed) {
-  // The approx block must be empty or parallel to `results`; anything
-  // else is a malformed payload, not a silent misalignment.
-  CompletionPayload done;
-  done.seq = 8;
-  done.terminal = GroupTerminal::kExecuted;
-  auto hist = FixedHistogram::FromCounts(0.0, 1.0, {1.0});
-  ASSERT_TRUE(hist.ok());
-  done.results.emplace_back(*hist);
-  done.results.emplace_back(*hist);
-  done.approx.push_back(ApproxResultInfo{});  // 1 entry vs 2 results.
-
+TEST(WireTest, HeaderAcceptsV1AndV3Only) {
   std::vector<uint8_t> buf;
   WireWriter w(&buf);
-  EncodeCompletion(&w, done, kWireVersionApprox);
-  WireReader r(buf.data(), buf.size());
-  EXPECT_FALSE(DecodeCompletion(&r, kWireVersionApprox).ok());
-}
-
-TEST(WireTest, HeaderAcceptsV2AndRejectsUnknownVersions) {
-  std::vector<uint8_t> buf;
-  WireWriter w(&buf);
-  w.EndFrame(w.BeginFrame(Opcode::kGroupComplete, 1, 2, kWireVersionApprox));
+  w.EndFrame(w.BeginFrame(Opcode::kGroupComplete, 1, 2));
   FrameHeader h;
   ASSERT_TRUE(DecodeFrameHeader(buf.data(), buf.size(), &h));
-  EXPECT_EQ(h.version, kWireVersionApprox);
+  EXPECT_EQ(h.version, kWireVersion);
 
   auto corrupted = buf;
   corrupted[2] = kWireVersionTrace;  // Newest (trace-id) version: valid.
   EXPECT_TRUE(DecodeFrameHeader(corrupted.data(), corrupted.size(), &h));
   EXPECT_EQ(h.version, kWireVersionTrace);
-  corrupted[2] = kWireVersionTrace + 1;  // One past the newest version.
-  EXPECT_FALSE(DecodeFrameHeader(corrupted.data(), corrupted.size(), &h));
-  corrupted[2] = 0;  // Below the oldest.
-  EXPECT_FALSE(DecodeFrameHeader(corrupted.data(), corrupted.size(), &h));
+  // Version 2 (approximate completions) is retired: malformed like any
+  // other unknown version.
+  for (uint8_t version : {0, 2, kWireVersionTrace + 1, 0xff}) {
+    corrupted[2] = version;
+    EXPECT_FALSE(DecodeFrameHeader(corrupted.data(), corrupted.size(), &h))
+        << "version " << int{version};
+  }
 }
 
 TEST(CodecTest, ShedCompletionHasNoResults) {
@@ -762,13 +766,19 @@ void ExpectMalformedErrorThenEof(int fd) {
 
 TEST_F(NetE2ETest, GarbageHeaderKillsTheConnection) {
   Start();
-  const int fd = RawConnect(net_->port());
   std::vector<uint8_t> garbage(kWireHeaderBytes, 0x5A);  // Bad magic.
-  ASSERT_TRUE(RawSend(fd, garbage));
-  // The server cannot resynchronize a corrupt stream: it answers with
-  // one farewell error frame and closes.
-  ExpectMalformedErrorThenEof(fd);
-  close(fd);
+  std::vector<uint8_t> v2_ping;
+  WireWriter w(&v2_ping);
+  w.EndFrame(w.BeginFrame(Opcode::kPing, 0, 1));
+  v2_ping[2] = 2;  // The retired wire version.
+  for (const auto& header : {garbage, v2_ping}) {
+    const int fd = RawConnect(net_->port());
+    ASSERT_TRUE(RawSend(fd, header));
+    // The server cannot resynchronize a corrupt stream: it answers with
+    // one farewell error frame and closes.
+    ExpectMalformedErrorThenEof(fd);
+    close(fd);
+  }
 }
 
 TEST_F(NetE2ETest, OversizedLengthKillsTheConnection) {

@@ -20,7 +20,7 @@ cmake -B "${build_dir}" -S "${repo_root}" \
   -DIDEVAL_SANITIZE=address >/dev/null
 cmake --build "${build_dir}" -j "$(nproc)" \
   --target serve_test obs_test sim_test engine_test property_test net_test \
-  progressive_test kernels_test
+  kernels_test
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1"
 "${build_dir}/tests/serve_test" --gtest_filter="${filter}"
@@ -40,8 +40,5 @@ export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1"
 # per-lane sub-histogram scratch; ASan checks every tail length the
 # property sweep generates.
 "${build_dir}/tests/kernels_test" --gtest_brief=1
-# The deadline executor builds per-pass logs and scaled estimate vectors;
-# its truncated runs stress partial-buffer lifetimes.
-"${build_dir}/tests/progressive_test" --gtest_brief=1
 
 echo "asan: all checked tests passed with no reported errors"

@@ -17,7 +17,7 @@ cmake -B "${build_dir}" -S "${repo_root}" \
   -DIDEVAL_SANITIZE=thread >/dev/null
 cmake --build "${build_dir}" -j "$(nproc)" \
   --target serve_test obs_test sim_test engine_test net_test \
-  progressive_test kernels_test property_test
+  kernels_test property_test
 
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 "${build_dir}/tests/serve_test" --gtest_filter="${filter}"
@@ -32,11 +32,6 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 # run it too so TSan sees the whole tier-1 surface it can reach quickly.
 "${build_dir}/tests/sim_test" --gtest_brief=1
 "${build_dir}/tests/engine_test" --gtest_brief=1
-# Progressive serving adds a background refinement thread that republishes
-# into the shared cache while workers serve; the deadline executor itself
-# is single-threaded but the serve_test Progressive* cases above cross it
-# with the refine thread — run the engine-level suite too for coverage.
-"${build_dir}/tests/progressive_test" --gtest_brief=1
 # The SIMD kernel tables are resolved through function-pointer statics
 # and a cached CPUID probe; the property suite calls them from the
 # engine paths TSan instruments.
